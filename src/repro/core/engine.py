@@ -28,23 +28,27 @@ argument of Lemma 5.7 for insertions and deletions alike.
 """
 from __future__ import annotations
 
-import itertools
-from collections import Counter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from repro.cq.join_tree import JoinTree, best_tree
 from repro.cq.query import CQ
 from repro.streams.sequences import Update
 
-YDict = dict[str, object]
 
-
-def _proj(t: tuple, pos: tuple[int, ...]) -> tuple:
-    return tuple(t[i] for i in pos)
+def _getter(pos: Iterable[int]) -> Callable[[tuple], tuple]:
+    """Compiled projection ``t -> tuple(t[i] for i in pos)``."""
+    pos = tuple(pos)
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    # a slice keeps the tuple shape where itemgetter(i) would unwrap it
+    return itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0, 0))
 
 
 class _Node:
-    """Mutable per-node state (views, counters, hash indexes)."""
+    """Mutable per-node state (views, counters, hash indexes). The
+    enumeration fields (``layout``, ``enum_children``, ``rows_by_key``,
+    ``sat``, ``up_idx``, ``live_get``) are set by ``CrownEngine._compile``."""
 
     def __init__(self, tree: JoinTree, name: str, y: frozenset[str]) -> None:
         tn = tree.node(name)
@@ -61,21 +65,23 @@ class _Node:
             return tuple(self.attrs.index(a) for a in sub)
 
         self.key_attrs = tuple(sorted(aset & parent_attrs))
-        self.key_pos = pos_of(self.key_attrs)
+        self.key_get = _getter(pos_of(self.key_attrs))
         self.y_attrs = tuple(sorted(aset & y))
-        self.y_pos = pos_of(self.y_attrs)
+        self.y_get = _getter(pos_of(self.y_attrs))
         self.boundary = bool(aset - y)
         # extra output attrs beyond the parent key (Algorithm 5 line 2/3)
         self.extra_y = bool(set(self.y_attrs) - set(self.key_attrs))
         self.key_y_attrs = tuple(sorted(set(self.key_attrs) & y))
-        self.key_y_in_y = tuple(self.y_attrs.index(a) for a in self.key_y_attrs)
-        self.ck_pos: dict[str, tuple[int, ...]] = {}
-        self.cky_in_y: dict[str, tuple[int, ...]] = {}
+        self.key_y_get = _getter(self.y_attrs.index(a) for a in self.key_y_attrs)
+        # child c -> (its join attrs, projection of t / of a y-value onto them)
+        self.ck_attrs: dict[str, tuple[str, ...]] = {}
+        self.ck_get: dict[str, Callable[[tuple], tuple]] = {}
+        self.cky_get: dict[str, Callable[[tuple], tuple]] = {}
         for c in self.children:
-            ck = sorted(aset & set(tree.node(c).attrs))
-            self.ck_pos[c] = pos_of(ck)
-            cky = sorted(set(ck) & y)
-            self.cky_in_y[c] = tuple(self.y_attrs.index(a) for a in cky)
+            ck = tuple(sorted(aset & set(tree.node(c).attrs)))
+            self.ck_attrs[c] = ck
+            self.ck_get[c] = _getter(pos_of(ck))
+            self.cky_get[c] = _getter(self.y_attrs.index(a) for a in ck if a in y)
         # defining children (generalized nodes): children whose attrs
         # contain this node's — their V_p's union forms the virtual
         # relation R_e (Example 4.2 generalized; see DESIGN.md)
@@ -91,6 +97,10 @@ class _Node:
             if self.children
             else {}
         )
+        # (child index, projection) per counted (non-defining) child
+        self.cidx = [
+            (self.child_index[c], self.ck_get[c]) for c in self.child_index
+        ]
         self.vs_by_key: dict[tuple, set] = {}
         self.vs_yproj: dict[tuple, int] = {}
         self.needs_kyproj = self.boundary and self.extra_y
@@ -113,11 +123,11 @@ class _Node:
     # -- V_s index bookkeeping (S-UPDATE's derivation counting) --------
     def _vs_add(self, t: tuple) -> tuple[tuple | None, tuple | None]:
         """Add ``t`` to V_s indexes; return (new V_p key, new π_y value)."""
-        kv = _proj(t, self.key_pos)
+        kv = self.key_get(t)
         s = self.vs_by_key.setdefault(kv, set())
         s.add(t)
         new_vp = kv if (len(s) == 1 and not self.is_root) else None
-        yv = _proj(t, self.y_pos)
+        yv = self.y_get(t)
         c = self.vs_yproj.get(yv, 0) + 1
         self.vs_yproj[yv] = c
         new_y = yv if c == 1 else None
@@ -127,12 +137,12 @@ class _Node:
         return new_vp, new_y
 
     def _vs_remove(self, t: tuple) -> None:
-        kv = _proj(t, self.key_pos)
+        kv = self.key_get(t)
         s = self.vs_by_key[kv]
         s.discard(t)
         if not s:
             del self.vs_by_key[kv]
-        yv = _proj(t, self.y_pos)
+        yv = self.y_get(t)
         c = self.vs_yproj[yv] - 1
         if c:
             self.vs_yproj[yv] = c
@@ -151,14 +161,19 @@ class _Node:
 class CrownEngine:
     """The paper's framework: join-free change propagation + enumeration.
 
+    Results are plain tuples throughout: every projection, each node's
+    enumeration layout and every witness plan is compiled once, at
+    construction, into ``operator.itemgetter``s.
+
     Parameters
     ----------
     cq : the (free-connex) conjunctive query.
     tree : a free-connex generalized join tree; ``best_tree(cq)`` when
         omitted (§6.3 heuristic).
-    post_filter : optional predicate over result dicts, applied at
-        emission only (selections over output attrs, e.g. SNB Q3's
-        ``<>``); internal views maintain the unfiltered query.
+    post_filter : optional predicate over a result dict keyed by output
+        attribute, applied at emission only (selections over output
+        attrs, e.g. SNB Q3's ``<>``); internal views maintain the
+        unfiltered query.
     emit_deltas : when False, ``apply`` skips witness detection and
         delta enumeration (pure maintenance mode, used by the
         enclosureness experiments and for bulk loading).
@@ -168,7 +183,7 @@ class CrownEngine:
         self,
         cq: CQ,
         tree: JoinTree | None = None,
-        post_filter: Callable[[YDict], bool] | None = None,
+        post_filter: Callable[[dict[str, object]], bool] | None = None,
         emit_deltas: bool = True,
     ) -> None:
         self.cq = cq
@@ -187,27 +202,74 @@ class CrownEngine:
         self.nodes: dict[str, _Node] = {
             n: _Node(self.tree, n, y) for n in self.tree.nodes
         }
-        self._atom_node = {
-            r.name: self.tree.relation_node(r.name) for r in cq.relations
-        }
-        self._selections: dict[str, list] = {}
+        # per atom: its tree node and its §7.2 selections; per stream: its atoms
+        preds: dict[str, list] = {}
         for rel, pred in cq.selections:
-            self._selections.setdefault(rel, []).append(pred)
-        # live nodes ordered root-first (deletion check is top-down)
-        order = {n: i for i, n in enumerate(self._preorder())}
-        self._live_nodes = sorted(
-            (n for n in self.nodes.values() if n.live_maintained),
-            key=lambda n: order[n.name],
-        )
+            preds.setdefault(rel, []).append(pred)
+        self._atoms = {
+            r.name: (self.nodes[self.tree.relation_node(r.name)], tuple(preds.get(r.name, ())))
+            for r in cq.relations
+        }
+        self._stream_atoms: dict[str, list] = {}
+        for r in cq.relations:
+            self._stream_atoms.setdefault(r.stream, []).append(self._atoms[r.name])
+        self._compile()
         self.stats = {"counter_changes": 0, "updates": 0, "deltas": 0}
 
-    def _preorder(self) -> list[str]:
-        out, stack = [], [self.tree.root]
+    def _compile(self) -> None:
+        """Plan-time positional layouts. ``node.layout`` names the columns
+        of ``_enum_key(node, ·)``'s tuples; a witness plan maps its
+        S-chain and the rest of its result into ``cq.output`` order."""
+        out, nodes = self.cq.output, self.nodes
+
+        def into(layout: tuple[str, ...], attrs: Iterable[str]) -> Callable:
+            return _getter(layout.index(a) for a in attrs)
+
+        preorder, stack = [], [self.tree.root]
         while stack:
-            cur = stack.pop()
-            out.append(cur)
-            stack.extend(self.nodes[cur].children)
-        return out
+            preorder.append(nodes[stack.pop()])
+            stack.extend(preorder[-1].children)
+        for n in reversed(preorder):  # children first
+            n.sat = [(nodes[c].vs_by_key, n.ck_get[c]) for c in n.children]
+            # a boundary child without extra output attrs yields only ()
+            # (its key is in V_p by the V_s invariant): drop it here
+            n.enum_children = [
+                (nodes[c], n.ck_get[c]) for c in n.children if nodes[c].layout
+            ]
+            if n.boundary:
+                n.layout = n.y_attrs if n.extra_y else ()
+            else:
+                n.layout = n.attrs + sum((c.layout for c, _ in n.enum_children), ())
+            # key -> rows, when a node's rows are stored ones (Algorithm 5
+            # line 3, or a leaf of the product); None when it must recurse
+            n.rows_by_key = (
+                n.vs_key_yproj if n.boundary else None if n.enum_children else n.vs_by_key
+            )
+        self._root_out = into(preorder[0].layout, out)
+        # live nodes root-first (deletion check is top-down)
+        self._live_nodes = [n for n in preorder if n.live_maintained]
+        self._wplans: dict[str, tuple] = {}
+        for n in preorder:
+            parent = nodes[n.parent] if n.parent else None
+            up = parent is not None and parent.live is not None
+            n.up_idx = parent.live_idx[n.name] if up else None
+            if n.live_maintained:
+                n.live_get = into(out, n.y_attrs)
+            if not up or not n.y_attrs:
+                continue
+            path = [nodes[p] for p in self.tree.path_to_root(n.name)]
+            layout, chain, kids = n.y_attrs, [], []
+            for prev, f in zip(path, path[1:]):
+                chain.append((f.name, f.live_idx[prev.name], into(layout, prev.key_y_attrs)))
+                layout += f.y_attrs
+            for prev, f in zip([None] + path, path):
+                if f.boundary:
+                    continue  # the subtree contributes only e∩y, already in the chain
+                for c, _ in f.enum_children:
+                    if c is not prev:
+                        kids.append((c, into(layout, f.ck_attrs[c.name])))
+                        layout += c.layout
+            self._wplans[n.name] = (chain, kids, into(layout, out))
 
     # ------------------------------------------------------------------
     # update entry points
@@ -215,10 +277,13 @@ class CrownEngine:
     def apply(self, u: Update) -> list[tuple[int, tuple]]:
         """Process one update; return the delta as ``[(±1, y-tuple)]``."""
         out: list[tuple[int, tuple]] = []
-        for atom in self.cq.atoms_of_stream(u.stream):
-            if any(not p(u.tuple) for p in self._selections.get(atom.name, ())):
-                continue  # §7.2: selection discards the update in O(1)
-            out.extend(self._apply_atom(atom.name, u.tuple, u.is_insert))
+        t = u.tuple
+        for node, preds in self._stream_atoms.get(u.stream, ()):
+            for p in preds:
+                if not p(t):
+                    break  # §7.2: selection discards the update in O(1)
+            else:
+                out.extend(self._apply_atom(node, t, u.is_insert))
         self.stats["updates"] += 1
         self.stats["deltas"] += len(out)
         return out
@@ -226,9 +291,11 @@ class CrownEngine:
     def apply_atom(self, rel: str, t: tuple, is_insert: bool) -> list[tuple[int, tuple]]:
         """Atom-level update (used by the HyperCube-partitioned engine,
         which dispatches each self-join copy independently)."""
-        if any(not p(t) for p in self._selections.get(rel, ())):
-            return []
-        out = self._apply_atom(rel, t, is_insert)
+        node, preds = self._atoms[rel]
+        for p in preds:
+            if not p(t):
+                return []
+        out = self._apply_atom(node, t, is_insert)
         self.stats["updates"] += 1
         self.stats["deltas"] += len(out)
         return out
@@ -251,42 +318,39 @@ class CrownEngine:
         if self.emit_deltas:
             self.rebuild_live()
 
-    def _apply_atom(self, rel: str, t: tuple, is_insert: bool) -> list[tuple[int, tuple]]:
-        name = self._atom_node[rel]
-        node = self.nodes[name]
-        if is_insert and t in node.tuples:
+    def _apply_atom(self, node: _Node, t: tuple, is_insert: bool) -> list[tuple[int, tuple]]:
+        if (t in node.tuples) == is_insert:
             return []  # set semantics: non-effective update
-        if not is_insert and t not in node.tuples:
-            return []
         if is_insert:
-            changes = self._insert_propagate(name, t)
+            changes = self._insert_propagate(node, t)
             results = self._collect_deltas(changes) if self.emit_deltas else []
             if self.emit_deltas:
                 self._live_insert(results)
         else:
-            changes, plan = self._delete_probe(name, t)
+            changes, plan = self._delete_probe(node, t)
             results = self._collect_deltas(changes) if self.emit_deltas else []
             self._delete_apply(plan)
             if self.emit_deltas:
                 self._live_delete(results)
         sign = 1 if is_insert else -1
-        emit = []
-        for r in results:
-            if self.post_filter and not self.post_filter(r):
-                continue
-            emit.append((sign, tuple(r[a] for a in self.cq.output)))
-        return emit
+        return [(sign, r) for r in self._filtered(results)]
+
+    def _filtered(self, rows: Iterable[tuple]) -> Iterable[tuple]:
+        """Apply ``post_filter``; its result dict is built only when set."""
+        if self.post_filter is None:
+            return rows
+        names, keep = self.cq.output, self.post_filter
+        return (r for r in rows if keep(dict(zip(names, r))))
 
     # ------------------------------------------------------------------
     # propagation (Algorithms 2–4, level-wise along the path to root)
     # ------------------------------------------------------------------
-    def _insert_propagate(self, e0: str, t: tuple) -> dict[str, dict[str, set]]:
+    def _insert_propagate(self, node: _Node, t: tuple) -> dict[str, dict[str, set]]:
         changes: dict[str, dict[str, set]] = {}
-        node = self.nodes[e0]
         # R-UPDATE (Algorithm 4): count satisfied children
         cnt = self._child_sat_count(node, t)
-        for c in node.children:
-            node.child_index[c].setdefault(_proj(t, node.ck_pos[c]), set()).add(t)
+        for idx, g in node.cidx:
+            idx.setdefault(g(t), set()).add(t)
         node.tuples[t] = cnt
         self.stats["counter_changes"] += 1
         entering: list[tuple] = [t] if cnt == node.n_children else []
@@ -323,11 +387,8 @@ class CrownEngine:
                         c2 = self._child_sat_count(node, kv)
                         node.tuples[kv] = c2
                         self.stats["counter_changes"] += 1
-                        for c in node.children:
-                            if c not in node.def_children:
-                                node.child_index[c].setdefault(
-                                    _proj(kv, node.ck_pos[c]), set()
-                                ).add(kv)
+                        for idx, g in node.cidx:
+                            idx.setdefault(g(kv), set()).add(kv)
                         if c2 == node.n_children:
                             entering.append(kv)
             else:
@@ -342,34 +403,36 @@ class CrownEngine:
                             entering.append(t2)
         return changes
 
-    def _child_sat_count(self, node: _Node, t: tuple) -> int:
+    @staticmethod
+    def _child_sat_count(node: _Node, t: tuple) -> int:
         """#children c with t[key(c)] ∈ V_p(c) (Algorithm 4 lines 3–5)."""
         cnt = 0
-        for c in node.children:
-            if _proj(t, node.ck_pos[c]) in self.nodes[c].vs_by_key:
+        for vp, g in node.sat:
+            if g(t) in vp:
                 cnt += 1
         return cnt
 
     def _delete_probe(
-        self, e0: str, t: tuple
+        self, node: _Node, t: tuple
     ) -> tuple[dict[str, dict[str, set]], list]:
         """Non-mutating pass: compute all view changes + an apply plan."""
         changes: dict[str, dict[str, set]] = {}
         plan: list[dict] = []
-        node = self.nodes[e0]
         leaving: set = {t} if node.in_vs(t) else set()
         child_name: str | None = None
         vp_below: set = set()
         while True:
-            y_d, vp_d = set(), set()
-            ycnt = Counter(_proj(t2, node.y_pos) for t2 in leaving)
-            for yv, c in ycnt.items():
-                if node.vs_yproj.get(yv, 0) == c:
-                    y_d.add(yv)
-            kcnt = Counter(_proj(t2, node.key_pos) for t2 in leaving)
-            for kv, c in kcnt.items():
-                if not node.is_root and len(node.vs_by_key.get(kv, ())) == c:
-                    vp_d.add(kv)
+            # a π_y value / V_p key goes when all of its V_s tuples leave
+            ycnt: dict[tuple, int] = {}
+            kcnt: dict[tuple, int] = {}
+            for t2 in leaving:
+                yv, kv = node.y_get(t2), node.key_get(t2)
+                ycnt[yv] = ycnt.get(yv, 0) + 1
+                kcnt[kv] = kcnt.get(kv, 0) + 1
+            y_d = {yv for yv, c in ycnt.items() if node.vs_yproj.get(yv, 0) == c}
+            vp_d = set() if node.is_root else {
+                kv for kv, c in kcnt.items() if len(node.vs_by_key.get(kv, ())) == c
+            }
             if leaving:
                 changes[node.name] = {"vs": set(leaving), "y": y_d, "vp": vp_d}
             plan.append(
@@ -405,13 +468,7 @@ class CrownEngine:
                 t = lvl["removed"]
                 del node.tuples[t]
                 self.stats["counter_changes"] += 1
-                for c in node.children:
-                    kv = _proj(t, node.ck_pos[c])
-                    s = node.child_index[c].get(kv)
-                    if s is not None:
-                        s.discard(t)
-                        if not s:
-                            del node.child_index[c][kv]
+                self._unindex(node, t)
             else:
                 if lvl["child"] in node.def_children:
                     for kv in lvl["vp_below"]:
@@ -422,15 +479,7 @@ class CrownEngine:
                             # last defining support gone: candidate vanishes
                             del node.def_pres[kv]
                             del node.tuples[kv]
-                            for c in node.children:
-                                if c in node.def_children:
-                                    continue
-                                ck = _proj(kv, node.ck_pos[c])
-                                s = node.child_index[c].get(ck)
-                                if s is not None:
-                                    s.discard(kv)
-                                    if not s:
-                                        del node.child_index[c][ck]
+                            self._unindex(node, kv)
                 else:
                     idx = node.child_index[lvl["child"]]
                     for kv in lvl["vp_below"]:
@@ -440,198 +489,131 @@ class CrownEngine:
             for t2 in lvl["leaving"]:
                 node._vs_remove(t2)
 
+    @staticmethod
+    def _unindex(node: _Node, t: tuple) -> None:
+        for idx, g in node.cidx:
+            kv = g(t)
+            s = idx.get(kv)
+            if s is not None:
+                s.discard(t)
+                if not s:
+                    del idx[kv]
+
     # ------------------------------------------------------------------
     # witnesses (Def. 5.6) and delta enumeration (Algorithm 6)
     # ------------------------------------------------------------------
-    def _witnesses(self, changes: dict[str, dict[str, set]]) -> list[tuple[str, tuple]]:
-        out: list[tuple[str, tuple]] = []
+    def _collect_deltas(self, changes: dict[str, dict[str, set]]) -> list[tuple]:
+        """Every result claimed by a witness, in ``cq.output`` order.
+
+        A Δ(π_y V_s) value is a witness iff its first S-chain step joins
+        a parent live value outside this update's own Δ values, so the
+        S-chain walk is the witness check. Each chain step excludes the
+        update's Δ values at that node (disjointness, Lemma 5.7)."""
+        out: list[tuple] = []
         for name, ch in changes.items():
             node = self.nodes[name]
             if node.is_root:
-                out.extend(("__root__", t2) for t2 in ch["vs"])
+                for t in ch["vs"]:
+                    out.extend(map(self._root_out, self._enum_tuple(node, t)))
                 continue
-            if not node.y_attrs:
+            if name not in self._wplans:
                 continue
-            parent = self.nodes[node.parent]
-            if parent.live is None:
-                continue
-            excl = changes.get(parent.name, {}).get("y", set())
-            pidx = parent.live_idx[name]
+            chain, kids, out_get = self._wplans[name]
+            steps = [
+                (idx, jget, changes[f]["y"] if f in changes else ())
+                for f, idx, jget in chain
+            ]
             for yv in ch["y"]:
-                jv = _proj(yv, node.key_y_in_y)
-                if any(lv not in excl for lv in pidx.get(jv, ())):
-                    out.append((name, yv))
-        return out
-
-    def _collect_deltas(self, changes: dict[str, dict[str, set]]) -> list[YDict]:
-        results: list[YDict] = []
-        for wname, wval in self._witnesses(changes):
-            results.extend(self._enum_witness(wname, wval, changes))
-        return results
-
-    def _enum_witness(
-        self, wname: str, wval: tuple, changes: dict[str, dict[str, set]]
-    ) -> Iterator[YDict]:
-        if wname == "__root__":
-            yield from self._enum_tuple_dicts(self.tree.root, wval)
-            return
-        node = self.nodes[wname]
-        path = self.tree.path_to_root(wname)
-        # S-chain: join the witness with live views up to the root,
-        # excluding this update's own Δ(π_y V_s) values (disjointness).
-        partials: list[YDict] = [dict(zip(node.y_attrs, wval))]
-        prev = node
-        for fname in path[1:]:
-            f = self.nodes[fname]
-            excl = changes.get(fname, {}).get("y", set())
-            idx = f.live_idx[prev.name]
-            nxt: list[YDict] = []
-            for p_ in partials:
-                jv = tuple(p_[a] for a in prev.key_y_attrs)
-                for lv in idx.get(jv, ()):
-                    if lv in excl:
-                        continue
-                    d = dict(p_)
-                    d.update(zip(f.y_attrs, lv))
-                    nxt.append(d)
-            partials = nxt
-            if not partials:
-                return
-            prev = f
-        for q in partials:
-            parts: list[list[YDict]] = []
-            if node.boundary:
-                parts.append([{}])  # subtree contributes only e∩y ⊆ q
-            else:
-                te = tuple(q[a] for a in node.attrs)
-                parts.append(list(self._enum_tuple_dicts(wname, te)))
-            prev_name = wname
-            for fname in path[1:]:
-                f = self.nodes[fname]
-                if f.boundary:
-                    parts.append([{}])
-                else:
-                    tf = tuple(q[a] for a in f.attrs)
-                    gens = [
-                        list(self._enum_key(c, _proj(tf, f.ck_pos[c])))
-                        for c in f.children
-                        if c != prev_name
+                partials = [yv]
+                for idx, jget, excl in steps:
+                    partials = [
+                        p + lv for p in partials
+                        for lv in idx.get(jget(p), ()) if lv not in excl
                     ]
-                    merged: list[YDict] = []
-                    for combo in itertools.product(*gens):
-                        d: YDict = {}
-                        for piece in combo:
-                            d.update(piece)
-                        merged.append(d)
-                    parts.append(merged)
-                prev_name = fname
-            for combo in itertools.product(*parts):
-                r = dict(q)
-                for piece in combo:
-                    r.update(piece)
-                yield r
+                for q in partials:
+                    rows = [q]
+                    for c, g in kids:
+                        part = self._enum_key(c, g(q))
+                        rows = [r + x for r in rows for x in part]
+                    out.extend(map(out_get, rows))
+        return out
 
     # ------------------------------------------------------------------
     # full enumeration (Algorithm 5)
     # ------------------------------------------------------------------
-    def _enum_tuple_dicts(self, name: str, t: tuple) -> Iterator[YDict]:
-        """Join results of the subtree at ``name`` containing V_s tuple
-        ``t`` (requires ``name``'s attrs ⊆ y)."""
-        node = self.nodes[name]
-        base: YDict = dict(zip(node.attrs, t))
-        gens = [
-            list(self._enum_key(c, _proj(t, node.ck_pos[c])))
-            for c in node.children
-        ]
-        for combo in itertools.product(*gens):
-            r = dict(base)
-            for piece in combo:
-                r.update(piece)
-            yield r
+    def _enum_tuple(self, node: _Node, t: tuple) -> list[tuple]:
+        """Join results of the subtree at ``node`` containing V_s tuple
+        ``t`` (requires ``node``'s attrs ⊆ y), laid out as ``node.layout``."""
+        rows = [t]
+        for c, g in node.enum_children:
+            part = self._enum_key(c, g(t))
+            rows = [r + x for r in rows for x in part]
+        return rows
 
-    def _enum_key(self, name: str, kv: tuple) -> Iterator[YDict]:
-        """FullEnum(T, e, t[key(e)]): results of the subtree at ``name``
+    def _enum_key(self, node: _Node, kv: tuple) -> Iterable[tuple]:
+        """FullEnum(T, e, t[key(e)]): results of the subtree at ``node``
         joining a parent V_s tuple whose key projection is ``kv``.
         Invariant: the caller's tuple is in the parent's V_s, hence
-        ``kv ∈ V_p`` here."""
-        node = self.nodes[name]
-        if node.boundary:
-            if not node.extra_y:
-                yield {}  # Algorithm 5 line 2
-            else:
-                for yv in node.vs_key_yproj.get(kv, ()):  # line 3, distinct
-                    yield dict(zip(node.y_attrs, yv))
-        else:
-            for t2 in node.vs_by_key.get(kv, ()):
-                yield from self._enum_tuple_dicts(name, t2)
+        ``kv ∈ V_p`` here. Algorithm 5 line 2 (a boundary node without
+        extra output attrs) is pruned at plan time."""
+        if node.rows_by_key is not None:
+            return node.rows_by_key.get(kv, ())
+        out: list[tuple] = []
+        for t in node.vs_by_key.get(kv, ()):
+            out.extend(self._enum_tuple(node, t))
+        return out
 
     def enumerate_full(self) -> Iterator[tuple]:
         """Constant-delay full enumeration of Q(D) (Lemma 5.3)."""
-        for r in self._enum_full_dicts():
-            if self.post_filter and not self.post_filter(r):
-                continue
-            yield tuple(r[a] for a in self.cq.output)
+        yield from self._filtered(self._enum_all())
 
-    def _enum_full_dicts(self) -> Iterator[YDict]:
+    def _enum_all(self) -> Iterator[tuple]:
         root = self.nodes[self.tree.root]
         for t in list(root.vs_by_key.get((), ())):
-            yield from self._enum_tuple_dicts(root.name, t)
+            yield from map(self._root_out, self._enum_tuple(root, t))
 
     def full_result_set(self) -> set[tuple]:
         return set(self.enumerate_full())
 
     # ------------------------------------------------------------------
-    # live views (Lemma 5.5), maintained after each delta enumeration
+    # live views (Lemma 5.5), maintained after each delta enumeration;
+    # each acts once per distinct projected value (repeats are no-ops)
     # ------------------------------------------------------------------
-    def _live_add(self, node: _Node, lv: tuple) -> None:
-        if lv in node.live:
-            return
-        node.live.add(lv)
-        for c in node.children:
-            node.live_idx[c].setdefault(_proj(lv, node.cky_in_y[c]), set()).add(lv)
-
-    def _live_discard(self, node: _Node, lv: tuple) -> None:
-        if lv not in node.live:
-            return
-        node.live.remove(lv)
-        for c in node.children:
-            jv = _proj(lv, node.cky_in_y[c])
-            s = node.live_idx[c].get(jv)
-            if s is not None:
-                s.discard(lv)
-                if not s:
-                    del node.live_idx[c][jv]
-
-    def _live_insert(self, results: list[YDict]) -> None:
+    def _live_insert(self, results: list[tuple]) -> None:
         for node in self._live_nodes:
-            for r in results:
-                self._live_add(node, tuple(r[a] for a in node.y_attrs))
+            new = set(map(node.live_get, results))
+            new -= node.live
+            node.live |= new
+            for c, idx in node.live_idx.items():
+                g = node.cky_get[c]
+                for lv in new:
+                    idx.setdefault(g(lv), set()).add(lv)
 
-    def _live_delete(self, results: list[YDict]) -> None:
+    def _live_delete(self, results: list[tuple]) -> None:
         # top-down: parent live views settle before children are checked
         for node in self._live_nodes:
-            parent = self.nodes[node.parent] if node.parent else None
-            for r in results:
-                lv = tuple(r[a] for a in node.y_attrs)
-                if lv not in node.live:
-                    continue
-                if lv not in node.vs_yproj:
-                    self._live_discard(node, lv)
-                    continue
-                if parent is not None and parent.live is not None:
-                    jv = _proj(lv, node.key_y_in_y)
-                    if not parent.live_idx[node.name].get(jv):
-                        self._live_discard(node, lv)
+            up, vs_y, kyg = node.up_idx, node.vs_yproj, node.key_y_get
+            gone = [
+                lv for lv in set(map(node.live_get, results)) & node.live
+                if lv not in vs_y or (up is not None and not up.get(kyg(lv)))
+            ]
+            node.live.difference_update(gone)
+            for c, idx in node.live_idx.items():
+                g = node.cky_get[c]
+                for lv in gone:
+                    jv = g(lv)
+                    s = idx[jv]
+                    s.discard(lv)
+                    if not s:
+                        del idx[jv]
 
     def rebuild_live(self) -> None:
         """Recompute every live view from one full enumeration."""
         for node in self._live_nodes:
             node.live.clear()
-            for c in node.children:
-                node.live_idx[c].clear()
-        for r in self._enum_full_dicts():
-            for node in self._live_nodes:
-                self._live_add(node, tuple(r[a] for a in node.y_attrs))
+            for idx in node.live_idx.values():
+                idx.clear()
+        self._live_insert(list(self._enum_all()))
 
     # ------------------------------------------------------------------
     # introspection

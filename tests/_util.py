@@ -3,9 +3,24 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.core.naive import evaluate
 from repro.cq.query import CQ
 from repro.streams.sequences import Update
+
+
+def output_orders(names) -> list:
+    """``(name, reverse)`` params: each query with its own output order,
+    then with ``cq.output`` reversed (ids ``<name>`` and ``<name>-reversed``)."""
+    names = sorted(names)
+    return [pytest.param(n, False, id=n) for n in names] + [
+        pytest.param(n, True, id=f"{n}-reversed") for n in names
+    ]
+
+
+def query_in_order(cq: CQ, reverse: bool) -> CQ:
+    return cq.with_output(reversed(cq.output)) if reverse else cq
 
 
 def selected_db(cq: CQ, stream_db: dict[str, set]) -> dict[str, set]:

@@ -11,7 +11,9 @@ from repro.bench.queries import GRAPH_QUERIES, SNB_QUERIES
 from repro.core.engine import CrownEngine
 from repro.cq.join_tree import best_tree, free_connex_trees
 from repro.streams.sequences import Update
-from tests._util import expected_result, fuzz_engine_vs_naive
+from tests._util import (
+    expected_result, fuzz_engine_vs_naive, output_orders, query_in_order,
+)
 
 GRAPH_ARITY = {"G": 2}
 COMB_ARITY = {"G": 2, "V1": 1, "V2": 1}
@@ -36,14 +38,15 @@ def snb_tuple_maker(rng, stream):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("name", sorted(GRAPH_QUERIES))
-def test_graph_query_deltas(name, seed):
+@pytest.mark.parametrize("name,reverse", output_orders(GRAPH_QUERIES))
+def test_graph_query_deltas(name, reverse, seed):
     bq = GRAPH_QUERIES[name]()
+    cq = query_in_order(bq.cq, reverse)
     arity = COMB_ARITY if name == "2comb" else GRAPH_ARITY
     dom = 8 if "4hop" in name else 5
     fuzz_engine_vs_naive(
-        lambda: CrownEngine(bq.cq, post_filter=bq.post_filter),
-        bq.cq,
+        lambda: CrownEngine(cq, post_filter=bq.post_filter),
+        cq,
         arity,
         steps=300,
         dom=dom,

@@ -6,7 +6,8 @@ cost accounting — Lemma C.1) on sequences with dialled λ.
 """
 import pytest
 
-from repro.bench.queries import hop3_full, star
+from repro.bench.harness import graph_stream
+from repro.bench.queries import hop3_full, hop4_full, star
 from repro.core.enclosure import nested_sequence, tree_enclosureness
 from repro.core.engine import CrownEngine
 from repro.cq.join_tree import best_tree, free_connex_trees
@@ -113,3 +114,13 @@ class TestPlanChoiceMatters:
         # and λ_T predicts it
         assert tree_enclosureness(seq, cq, t_flat) == 1.0
         assert tree_enclosureness(seq, cq, t_deep) > 4
+
+
+def test_hop4_window_exact_stats():
+    """Exact counter work (the O(λ_T) maintenance cost) and delta count on
+    a fixed 4-hop FIFO stream: a change to how results are produced must
+    leave both as they are."""
+    bq = hop4_full()
+    eng = CrownEngine(bq.cq, post_filter=bq.post_filter)
+    eng.run(graph_stream(sf=0.002, window=150, seed=1))
+    assert eng.stats == {"counter_changes": 7982, "updates": 2000, "deltas": 14104}
