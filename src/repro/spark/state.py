@@ -15,9 +15,15 @@ from pyspark.sql import functions as F
 def empty_df(spark: SparkSession, cols: list[str]) -> DataFrame:
     """Empty long-typed frame with the given columns (join keys are
     synthetic integer ids throughout the benchmarks; string payloads
-    are encoded upstream)."""
+    are encoded upstream).
+
+    It is backed by an empty RDD, like the checkpointed frames that
+    replace it, not by an empty local relation: Catalyst folds the
+    latter out of the first batch's plans, and those one-off plans ran
+    about three times slower than the warm ones (SparkCrown, hop3_proj).
+    """
     schema = ", ".join(f"`{c}` long" for c in cols)
-    return spark.createDataFrame([], schema)
+    return spark.createDataFrame(spark.sparkContext.emptyRDD(), schema)
 
 
 def checkpoint(df: DataFrame) -> DataFrame:
@@ -25,54 +31,19 @@ def checkpoint(df: DataFrame) -> DataFrame:
     return df.localCheckpoint(eager=True)
 
 
-def apply_set_delta(
-    state: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
-) -> DataFrame:
-    """Set semantics: (state ∖ deletes) ∪ inserts, by full-row equality."""
-    out = state
-    if deletes is not None:
-        out = out.join(deletes, on=list(state.columns), how="left_anti")
-    if inserts is not None:
-        out = out.unionByName(
-            inserts.select(state.columns).join(
-                state, on=list(state.columns), how="left_anti"
-            )
-        )
-    return out
+def _probe(small: DataFrame, on: list[str]) -> DataFrame:
+    """The broadcast side of a semi/anti-join. With no key columns it is
+    at most one row of no columns, so the join only asks whether
+    ``small`` has a row, lazily, when the plan runs."""
+    return F.broadcast(small if on else small.limit(1).select())
 
 
-def semi(df: DataFrame, other: DataFrame, on: list[str]) -> DataFrame:
-    if not on:
-        # degenerate key: keep rows iff `other` is non-empty
-        return df if not other.isEmpty() else df.limit(0)
-    return df.join(other.select(on).dropDuplicates(), on=on, how="left_semi")
+def semi(df: DataFrame, small: DataFrame, on: list[str]) -> DataFrame:
+    """Rows of ``df`` with a match in the delta-sized ``small`` on
+    ``on``. ``small`` is broadcast, so ``df`` is scanned, not shuffled."""
+    return df.join(_probe(small, on), on=on or None, how="left_semi")
 
 
-def anti(df: DataFrame, other: DataFrame, on: list[str]) -> DataFrame:
-    if not on:
-        return df.limit(0) if not other.isEmpty() else df
-    return df.join(other.select(on).dropDuplicates(), on=on, how="left_anti")
-
-
-def sign_split(delta: DataFrame, cols: list[str]) -> tuple[DataFrame, DataFrame]:
-    """Split a signed delta frame into (inserts, deletes) on `sign`."""
-    ins = delta.filter(F.col("sign") > 0).select(cols)
-    dels = delta.filter(F.col("sign") < 0).select(cols)
-    return ins, dels
-
-
-def compact_batch(delta: DataFrame, cols: list[str]) -> DataFrame:
-    """Micro-batch compaction: keep only the last event per tuple.
-
-    ``delta`` carries (seq, sign, *cols); within a batch the final
-    state change per tuple is its latest event (standard streaming
-    upsert semantics).
-    """
-    from pyspark.sql import Window
-
-    w = Window.partitionBy(*cols).orderBy(F.col("seq").desc())
-    return (
-        delta.withColumn("__rn", F.row_number().over(w))
-        .filter(F.col("__rn") == 1)
-        .drop("__rn", "seq")
-    )
+def anti(df: DataFrame, small: DataFrame, on: list[str]) -> DataFrame:
+    """Rows of ``df`` without a match in the delta-sized ``small``."""
+    return df.join(_probe(small, on), on=on or None, how="left_anti")

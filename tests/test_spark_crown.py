@@ -8,9 +8,10 @@ from pyspark.sql import functions as F
 
 from repro.bench.queries import hop3_full, hop3_proj, star
 from repro.core.engine import CrownEngine
-from repro.cq.join_tree import best_tree
+from repro.cq.join_tree import best_tree, free_connex_trees
 from repro.oracle import assert_equivalent
 from repro.spark.crown_spark import SparkCrown
+from repro.spark.state import anti, semi
 from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
 
@@ -100,3 +101,110 @@ def test_empty_batch_is_noop(spark):
     sc = SparkCrown(spark, bq.cq)
     out = sc.process_batch({})
     assert out.count() == 0
+
+
+def _check_batch(spark, sc, core, batch):
+    """Feed one batch to ``sc`` and ``core``; its delta set must equal
+    the core engine's net delta."""
+    from collections import Counter
+
+    net = Counter()
+    for s, a, b in batch:
+        for sg, t in core.apply(Update("G", (a, b), s > 0)):
+            net[t] += sg
+    sd = spark.createDataFrame(pd.DataFrame(batch, columns=["sign", "a", "b"]))
+    rows = sc.process_batch({"G": sd}).collect()
+    got = {tuple(r[x] for x in sc.cq.output): r["sign"] for r in rows}
+    assert len(got) == len(rows)
+    assert got == {t: (1 if c > 0 else -1) for t, c in net.items() if c != 0}
+
+
+def _check_full_result(sc, core):
+    assert {tuple(r) for r in sc.full_result().collect()} == core.full_result_set()
+
+
+def test_counted_vp_edge_cases(spark):
+    """Counted V_p (derivation counting at batch granularity): a key
+    changes only when its count crosses 0."""
+    cq = hop3_proj().cq
+    sc = SparkCrown(spark, cq)
+    core = CrownEngine(cq, sc.tree)
+    g2 = sc.nodes["G2"]  # key B; (2, 3) and (2, 4) share B = 2
+    batches = [
+        [(1, 1, 2), (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 5)],
+        [(-1, 2, 3)],  # one of the two tuples under B = 2 leaves V_s
+        [(1, 2, 3)],  # ... and comes back in the next batch
+        [(-1, 2, 3), (-1, 2, 4)],  # both leave: the count crosses 0
+    ]
+    seen = []
+    for batch in batches:
+        _check_batch(spark, sc, core, batch)
+        count = {r["B"]: r["cnt"] for r in g2.vp().collect()}.get(2, 0)
+        changed = (2,) in {tuple(r) for r in g2.changed_keys().collect()}
+        seen.append((count, changed))
+    assert seen == [(2, True), (1, False), (2, False), (0, True)]
+    _check_full_result(sc, core)
+
+
+TWO_GENERALIZED = [
+    t for t in free_connex_trees(hop3_proj().cq)
+    if sum(n.is_generalized for n in t.nodes.values()) == 2
+]
+
+
+@pytest.mark.parametrize("tree", TWO_GENERALIZED, ids=lambda t: "+".join(sorted(t.nodes)))
+def test_generalized_trees_match_core_engine(spark, tree):
+    """Generalized nodes (virtual R_e) and children keyed on fewer
+    attributes than their parent, on every hop3_proj tree with two
+    generalized nodes."""
+    cq = hop3_proj().cq
+    sc = SparkCrown(spark, cq, tree)
+    core = CrownEngine(cq, tree)
+    for batch in batched_graph_events(n_batches=2, per_batch=20, dom=8, seed=len(tree.nodes)):
+        _check_batch(spark, sc, core, batch)
+    _check_full_result(sc, core)
+
+
+def _jobs_of(spark, fn):
+    """``fn()`` and the number of Spark jobs it ran, read from the status
+    tracker under a job group of its own."""
+    ctx = spark.sparkContext
+    group = f"jobs-of-{id(fn)}"
+    ctx.setJobGroup(group, group)
+    try:
+        out = fn()
+    finally:
+        ctx.setLocalProperty("spark.jobGroup.id", None)
+        ctx.setLocalProperty("spark.job.description", None)
+    # the status tracker is fed asynchronously by the listener bus
+    ctx._jsc.sc().listenerBus().waitUntilEmpty()
+    return out, len(ctx.statusTracker().getJobIdsForGroup(group))
+
+
+def test_empty_key_semi_anti_are_lazy(spark):
+    """With no key columns, semi/anti ask whether the other frame has a
+    row when the plan runs, not while it is built."""
+    df = spark.range(3).toDF("a")
+    none = df.filter("a < 0")
+    plans, jobs = _jobs_of(spark, lambda: [
+        semi(df, df, []), semi(df, none, []), anti(df, df, []), anti(df, none, []),
+    ])
+    assert jobs == 0
+    assert [p.count() for p in plans] == [3, 0, 0, 3]
+
+
+# A warm hop3_full batch runs about 36 Spark jobs; per-node full-state
+# work (re-deriving V_p, diffing two enumerations) ran 100-126.
+WARM_BATCH_JOBS = 60
+
+
+def test_warm_batch_job_budget(spark):
+    cq = hop3_full().cq
+    sc = SparkCrown(spark, cq, best_tree(cq), atom_filters=atom_filters_for(cq))
+    cold, warm = (
+        spark.createDataFrame(pd.DataFrame(b, columns=["sign", "a", "b"]))
+        for b in batched_graph_events(n_batches=2, per_batch=25, seed=3)
+    )
+    sc.process_batch({"G": cold}).collect()
+    _, jobs = _jobs_of(spark, lambda: sc.process_batch({"G": warm}).collect())
+    assert 0 < jobs <= WARM_BATCH_JOBS
