@@ -6,30 +6,26 @@ free-connex tree with root attributes ``g``, every query result has a
 ``g``-value, so sharding the stream by ``hash(g) mod p`` and
 replicating atoms that do not contain ``g`` yields ``p`` independent
 CROWN instances whose delta streams are provably disjoint and whose
-union is exactly the global delta stream.
+union is exactly the global delta stream. A tree whose root has no
+attributes cannot be split this way; all of its atoms go to shard 0.
 
-Spark mapping: the dispatch plan is a DataFrame transformation
-(explode per atom → route), and each shard replays its sub-stream
-inside ``applyInPandas`` with a :class:`CrownEngine` as the per-group
-state — the sanctioned PySpark stand-in for a custom stateful
-operator (DESIGN.md § layering).
+Spark mapping: the driver routes every row once (``dispatch_plan``),
+then ships each shard's sub-stream to one task of a single
+``parallelize(…).mapPartitions`` stage. The task replays it through a
+:class:`CrownEngine`, the stateful operator (DESIGN.md § layering).
+Rows are already routed, so the stage needs no shuffle.
 """
 from __future__ import annotations
 
 import json
 import time
 import zlib
-from typing import Callable
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.cq.join_tree import JoinTree, best_tree
 from repro.cq.query import CQ
-
-OUT_SCHEMA = (
-    "pid long, updates long, deltas long, millis double, payload string"
-)
 
 
 def _stable_hash(vals: tuple) -> int:
@@ -42,92 +38,85 @@ def dispatch_plan(
 ) -> pd.DataFrame:
     """Explode a stream (seq, stream, sign, v0..vk) into per-atom rows
     routed to partitions: atoms containing the root attributes hash on
-    them; others are replicated to every partition."""
-    root_attrs = list(tree.node(tree.root).attrs)
-    rows: list[tuple] = []
+    them; others are replicated to every partition. Rows come sorted by
+    (pid, seq, atom position in ``cq.relations``), the replay order."""
+    root_attrs = tree.node(tree.root).attrs
     vcols = [c for c in updates.columns if c.startswith("v")]
-    for rec in updates.itertuples(index=False):
-        seq, stream, sign = rec.seq, rec.stream, rec.sign
-        vals = tuple(getattr(rec, c) for c in vcols)
-        for atom in cq.atoms_of_stream(stream):
-            n = len(atom.attrs)
-            tvals = vals[:n]
-            pos = [atom.attrs.index(a) for a in root_attrs if a in atom.attrs]
-            if len(pos) == len(root_attrs) and root_attrs:
-                pids = [_stable_hash(tuple(tvals[i] for i in pos)) % p]
-            else:
-                pids = list(range(p))
-            for pid in pids:
-                rows.append((pid, seq, atom.name, sign, *vals))
-    return pd.DataFrame(
-        rows, columns=["pid", "seq", "atom", "sign", *vcols]
+    frames = []
+    for pos, atom in enumerate(cq.relations):
+        sub = updates[updates.stream == atom.stream]
+        rows = sub[["seq", "sign", *vcols]].assign(atom=atom.name, pos=pos)
+        if not root_attrs:
+            frames.append(rows.assign(pid=0))
+        elif set(root_attrs) <= atom.attr_set:
+            cols = [sub[vcols[atom.attrs.index(a)]].tolist() for a in root_attrs]
+            keys = list(zip(*cols))
+            pid_of = {k: _stable_hash(k) % p for k in set(keys)}
+            frames.append(rows.assign(pid=[pid_of[k] for k in keys]))
+        else:
+            frames.extend(rows.assign(pid=pid) for pid in range(p))
+    plan = pd.concat(frames, ignore_index=True).sort_values(
+        ["pid", "seq", "pos"], kind="stable"
     )
+    return plan[["pid", "seq", "atom", "sign", *vcols]].reset_index(drop=True)
 
 
 class PartitionedCrown:
     """p independent CROWN shards behind one Spark job."""
 
     def __init__(
-        self,
-        spark: SparkSession,
-        cq: CQ,
-        p: int,
-        tree: JoinTree | None = None,
-        decoders: dict[str, Callable[[list], tuple]] | None = None,
+        self, spark: SparkSession, cq: CQ, p: int, tree: JoinTree | None = None
     ) -> None:
         self.spark = spark
         self.cq = cq
         self.p = p
         self.tree = tree if tree is not None else best_tree(cq)
-        self.decoders = decoders or {}
 
     def run_stream(
         self, updates: pd.DataFrame, collect_deltas: bool = False
     ) -> pd.DataFrame:
-        """Replay a full update stream distributed; returns per-shard
-        (updates, deltas, millis[, payload]) rows.
+        """Replay a full update stream distributed; returns one row per
+        non-empty shard: pid, updates, deltas, millis and ``payload``, the
+        shard's deltas in emission order as JSON (``""`` unless
+        ``collect_deltas``).
 
-        ``updates`` columns: seq, stream, sign, v0..vk (stringly-typed
-        values; ``decoders`` map atom-name → row decoder).
+        ``updates`` columns: seq, stream, sign, v0..vk.
         """
         plan = dispatch_plan(self.cq, self.tree, updates, self.p)
-        cq, tree, decoders = self.cq, self.tree, self.decoders
+        cq, tree = self.cq, self.tree
         arity = {r.name: len(r.attrs) for r in cq.relations}
+        vals = zip(*(plan[c].tolist() for c in plan.columns if c.startswith("v")))
+        rows = [
+            (atom, sign > 0, v[: arity[atom]])
+            for atom, sign, v in zip(plan.atom.tolist(), plan.sign.tolist(), vals)
+        ]
+        # the plan is sorted by pid: shard i is rows[bounds[i]:bounds[i + 1]]
+        bounds = plan.pid.searchsorted(range(self.p + 1)).tolist()
+        work = [
+            (pid, rows[lo:hi])
+            for pid, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if lo < hi
+        ]
 
-        def run_shard(key, pdf: pd.DataFrame) -> pd.DataFrame:  # pragma: no cover
+        def run_shard(part):  # pragma: no cover - runs on a Spark worker
             from repro.core.engine import CrownEngine
 
-            pdf = pdf.sort_values("seq")
-            eng = CrownEngine(cq, tree)
-            n_up, n_delta = 0, 0
-            payload: list = []
-            t0 = time.perf_counter()
-            vcols = [c for c in pdf.columns if c.startswith("v")]
-            for rec in pdf.itertuples(index=False):
-                atom = rec.atom
-                raw = [getattr(rec, c) for c in vcols][: arity[atom]]
-                dec = decoders.get(atom)
-                t = dec(raw) if dec else tuple(raw)
-                deltas = eng.apply_atom(atom, t, rec.sign > 0)
-                n_up += 1
-                n_delta += len(deltas)
-                if collect_deltas:
-                    payload.extend([s, list(v)] for s, v in deltas)
-            ms = (time.perf_counter() - t0) * 1000
-            return pd.DataFrame(
-                {
-                    "pid": [key[0]],
-                    "updates": [n_up],
-                    "deltas": [n_delta],
-                    "millis": [ms],
-                    "payload": [json.dumps(payload) if collect_deltas else ""],
-                }
-            )
+            for pid, shard in part:
+                eng = CrownEngine(cq, tree)
+                n_delta, payload = 0, []
+                t0 = time.perf_counter()
+                for atom, is_insert, t in shard:
+                    deltas = eng.apply_atom(atom, t, is_insert)
+                    n_delta += len(deltas)
+                    if collect_deltas:
+                        payload.extend(deltas)
+                ms = (time.perf_counter() - t0) * 1000
+                yield pid, len(shard), n_delta, ms, (
+                    json.dumps(payload) if collect_deltas else ""
+                )
 
-        sdf = self.spark.createDataFrame(plan)
-        out = (
-            sdf.repartition(self.p, "pid")
-            .groupBy("pid")
-            .applyInPandas(run_shard, schema=OUT_SCHEMA)
+        sc = self.spark.sparkContext
+        out = sc.parallelize(work, max(len(work), 1)).mapPartitions(run_shard)
+        return pd.DataFrame(
+            out.collect(), columns=["pid", "updates", "deltas", "millis", "payload"]
         )
-        return out.toPandas()

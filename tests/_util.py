@@ -106,3 +106,22 @@ def fuzz_engine_vs_naive(
 
 def check_full_result(eng) -> set:
     return eng.full_result_set()
+
+
+def jobs_of(spark, fn):
+    """``fn()`` with the number of Spark jobs and stages it ran, read from
+    the status tracker under a job group of its own."""
+    ctx = spark.sparkContext
+    group = f"jobs-of-{id(fn)}"
+    ctx.setJobGroup(group, group)
+    try:
+        out = fn()
+    finally:
+        ctx.setLocalProperty("spark.jobGroup.id", None)
+        ctx.setLocalProperty("spark.job.description", None)
+    # the status tracker is fed asynchronously by the listener bus
+    ctx._jsc.sc().listenerBus().waitUntilEmpty()
+    tracker = ctx.statusTracker()
+    jobs = tracker.getJobIdsForGroup(group)
+    stages = sum(len(tracker.getJobInfo(j).stageIds) for j in jobs)
+    return out, len(jobs), stages

@@ -14,6 +14,7 @@ from repro.spark.crown_spark import SparkCrown
 from repro.spark.state import anti, semi
 from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
+from tests._util import jobs_of
 
 
 def atom_filters_for(cq):
@@ -165,28 +166,12 @@ def test_generalized_trees_match_core_engine(spark, tree):
     _check_full_result(sc, core)
 
 
-def _jobs_of(spark, fn):
-    """``fn()`` and the number of Spark jobs it ran, read from the status
-    tracker under a job group of its own."""
-    ctx = spark.sparkContext
-    group = f"jobs-of-{id(fn)}"
-    ctx.setJobGroup(group, group)
-    try:
-        out = fn()
-    finally:
-        ctx.setLocalProperty("spark.jobGroup.id", None)
-        ctx.setLocalProperty("spark.job.description", None)
-    # the status tracker is fed asynchronously by the listener bus
-    ctx._jsc.sc().listenerBus().waitUntilEmpty()
-    return out, len(ctx.statusTracker().getJobIdsForGroup(group))
-
-
 def test_empty_key_semi_anti_are_lazy(spark):
     """With no key columns, semi/anti ask whether the other frame has a
     row when the plan runs, not while it is built."""
     df = spark.range(3).toDF("a")
     none = df.filter("a < 0")
-    plans, jobs = _jobs_of(spark, lambda: [
+    plans, jobs, _ = jobs_of(spark, lambda: [
         semi(df, df, []), semi(df, none, []), anti(df, df, []), anti(df, none, []),
     ])
     assert jobs == 0
@@ -206,5 +191,5 @@ def test_warm_batch_job_budget(spark):
         for b in batched_graph_events(n_batches=2, per_batch=25, seed=3)
     )
     sc.process_batch({"G": cold}).collect()
-    _, jobs = _jobs_of(spark, lambda: sc.process_batch({"G": warm}).collect())
+    _, jobs, _ = jobs_of(spark, lambda: sc.process_batch({"G": warm}).collect())
     assert 0 < jobs <= WARM_BATCH_JOBS
