@@ -6,42 +6,22 @@ DBToaster-Spark proxy) process the same stream in batches. Paper
 shape: CROWN scales near-linearly for small p and outruns both
 baselines by orders of magnitude.
 """
-import random
-
-import pandas as pd
 import pytest
 
+from repro.bench.harness import stream_pdf
 from repro.bench.queries import hop4_proj
 from repro.cq.join_tree import best_tree
 from repro.spark.partitioned import PartitionedCrown
 
 N_EVENTS = 1200
-
-
-def stream_pdf(n=N_EVENTS, dom=60, seed=3):
-    rng = random.Random(seed)
-    rows, live, seq = [], set(), 0
-    for _ in range(n):
-        if live and rng.random() < 0.35:
-            t = rng.choice(sorted(live))
-            live.discard(t)
-            sign = -1
-        else:
-            t = (rng.randrange(dom), rng.randrange(dom))
-            if t in live:
-                continue
-            live.add(t)
-            sign = 1
-        rows.append((seq, "G", sign, t[0], t[1]))
-        seq += 1
-    return pd.DataFrame(rows, columns=["seq", "stream", "sign", "v0", "v1"])
+DOM = 60
 
 
 @pytest.mark.parametrize("p", [1, 2, 4])
 def test_fig10_partitioned_crown(benchmark, spark, p):
     bq = hop4_proj()
     tree = best_tree(bq.cq)
-    updates = stream_pdf()
+    updates = stream_pdf(N_EVENTS, DOM)
 
     def once():
         pc = PartitionedCrown(spark, bq.cq, p=p, tree=tree)
@@ -57,17 +37,11 @@ def test_fig10_partitioned_crown(benchmark, spark, p):
 
 @pytest.mark.parametrize("engine", ["spark_cp", "spark_hivm"])
 def test_fig10_spark_baselines(benchmark, spark, engine):
-    from pyspark.sql import functions as F
-
     from repro.spark.baseline_cp import SparkStandardCP
     from repro.spark.hivm_spark import SparkFirstOrderHIVM
 
     bq = hop4_proj()
-    updates = stream_pdf(n=400)
-    flt = {
-        rel: (F.col(bq.cq.relation(rel).attrs[1]) % 10 == 0)
-        for rel, _ in bq.cq.selections
-    }
+    updates = stream_pdf(400, DOM)
     n_batches = 4
     chunks = [
         updates.iloc[i * len(updates) // n_batches : (i + 1) * len(updates) // n_batches]
@@ -76,9 +50,9 @@ def test_fig10_spark_baselines(benchmark, spark, engine):
 
     def once():
         eng = (
-            SparkStandardCP(spark, bq.cq, atom_filters=flt)
+            SparkStandardCP(spark, bq.cq)
             if engine == "spark_cp"
-            else SparkFirstOrderHIVM(spark, bq.cq, atom_filters=flt)
+            else SparkFirstOrderHIVM(spark, bq.cq)
         )
         total = 0
         for ch in chunks:

@@ -8,31 +8,18 @@ shrink.
 import pytest
 
 from repro.bench.harness import graph_stream, run_engine
-from repro.bench.queries import hop3_full
+from repro.bench.queries import hop3_full, keep_pct
 from repro.core.baseline_cp import StandardCPEngine
 from repro.core.engine import CrownEngine
 from repro.core.hivm import FirstOrderHIVMEngine
-from repro.cq.query import CQ
 
 KEEP = [1, 10, 50]  # percent of endpoint values kept
-
-
-def filtered_cq(pct):
-    base = hop3_full().cq
-    mod = pct if pct > 0 else 1
-
-    def pred(t, mod=round(100 / pct)):
-        return int(t[1]) % mod == 0
-
-    return CQ(
-        base.relations, base.output, f"3hop_keep{pct}", (("G3", pred),)
-    )
 
 
 @pytest.mark.parametrize("engine", ["crown", "flink_cp", "dbtoaster_hivm"])
 @pytest.mark.parametrize("pct", KEEP)
 def test_fig12_selectivity(benchmark, pct, engine):
-    cq = filtered_cq(pct)
+    cq = keep_pct(hop3_full(), pct)
     seq = graph_stream(sf=0.004, window=500)
 
     def once():

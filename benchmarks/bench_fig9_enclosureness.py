@@ -6,30 +6,17 @@ to reproduce: cost grows ~linearly with λ.
 """
 import pytest
 
+from repro.bench.queries import r2_under_r1, thm67
 from repro.core.enclosure import nested_sequence
 from repro.core.engine import CrownEngine
-from repro.cq.join_tree import free_connex_trees
-from repro.cq.query import CQ, Relation
 
 LAMBDAS = [1, 4, 16, 64]
 
 
-def thm67_cq():
-    return CQ(
-        (Relation("R1", ("x1", "x2")), Relation("R2", ("x2",))),
-        output=("x1",),
-        name="thm67",
-    )
-
-
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_fig9_lambda(benchmark, lam):
-    cq = thm67_cq()
-    tree = next(
-        t
-        for t in free_connex_trees(cq)
-        if "R2" in t.subtree(t.relation_node("R1"))
-    )
+    cq = thm67()
+    tree = r2_under_r1(cq)
     seq = list(nested_sequence("R1", "R2", lam, scale=4))
 
     def once():

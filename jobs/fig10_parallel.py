@@ -4,35 +4,13 @@ HyperCube-partitioned CROWN on the 4-Hop join-project stream for
 p ∈ {1, 2, 4, 8}, plus the Spark micro-batch baselines (Flink proxy /
 DBToaster-Spark proxy) on the same stream.
 """
-import random
 import time
-
-import pandas as pd
 
 import _common as common
 
-from repro.bench.harness import print_table
+from repro.bench.harness import print_table, stream_pdf
 from repro.bench.queries import hop4_proj
 from repro.cq.join_tree import best_tree
-
-
-def stream_pdf(n, dom, seed=3):
-    rng = random.Random(seed)
-    rows, live, seq = [], set(), 0
-    while len(rows) < n:
-        if live and rng.random() < 0.35:
-            t = rng.choice(sorted(live))
-            live.discard(t)
-            sign = -1
-        else:
-            t = (rng.randrange(dom), rng.randrange(dom))
-            if t in live:
-                continue
-            live.add(t)
-            sign = 1
-        rows.append((seq, "G", sign, t[0], t[1]))
-        seq += 1
-    return pd.DataFrame(rows, columns=["seq", "stream", "sign", "v0", "v1"])
 
 
 def main() -> None:
@@ -60,21 +38,15 @@ def main() -> None:
             }
         )
     # Spark micro-batch baselines on a prefix of the same stream
-    from pyspark.sql import functions as F
-
     from repro.spark.baseline_cp import SparkStandardCP
     from repro.spark.hivm_spark import SparkFirstOrderHIVM
 
-    flt = {
-        rel: (F.col(bq.cq.relation(rel).attrs[1]) % 10 == 0)
-        for rel, _ in bq.cq.selections
-    }
     nb = 300 if args.quick else 1000
     chunk = updates.head(nb)
     batches = [chunk.iloc[i::4] for i in range(4)]
     for name, mk in (
-        ("spark_cp(flink)", lambda: SparkStandardCP(spark, bq.cq, atom_filters=flt)),
-        ("spark_hivm(dbtoaster)", lambda: SparkFirstOrderHIVM(spark, bq.cq, atom_filters=flt)),
+        ("spark_cp(flink)", lambda: SparkStandardCP(spark, bq.cq)),
+        ("spark_hivm(dbtoaster)", lambda: SparkFirstOrderHIVM(spark, bq.cq)),
     ):
         eng = mk()
         t0 = time.perf_counter()

@@ -3,21 +3,10 @@
 import _common as common
 
 from repro.bench.harness import graph_stream, print_table, run_engine
-from repro.bench.queries import hop3_full, hop4_proj
+from repro.bench.queries import hop3_full, hop4_proj, keep_pct
 from repro.core.baseline_cp import StandardCPEngine
 from repro.core.engine import CrownEngine
 from repro.core.hivm import FirstOrderHIVMEngine
-from repro.cq.query import CQ
-
-
-def filtered(base_bq, last_atom, pct, name):
-    mod = max(1, round(100 / pct))
-
-    def pred(t, mod=mod):
-        return int(t[1]) % mod == 0
-
-    cq = base_bq.cq
-    return CQ(cq.relations, cq.output, f"{name}_keep{pct}", ((last_atom, pred),))
 
 
 def main() -> None:
@@ -26,13 +15,11 @@ def main() -> None:
     window = 500 if args.quick else 1500
     pcts = [1, 10, 100] if args.quick else [1, 5, 20, 100]
     seq = graph_stream(sf=sf, window=window)
-    for qname, base, last in (
-        ("3hop_full", hop3_full(), "G3"),
-        ("4hop_proj", hop4_proj(), "G4"),
-    ):
+    for base in (hop3_full(), hop4_proj()):
+        qname = base.cq.name
         rows = []
         for pct in pcts:
-            cq = filtered(base, last, pct, qname)
+            cq = keep_pct(base, pct)
             row = {"keep_pct": pct}
             for name, mk in (
                 ("crown", lambda cq=cq: CrownEngine(cq)),

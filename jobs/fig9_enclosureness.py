@@ -2,24 +2,17 @@
 import _common as common
 
 from repro.bench.harness import print_table
+from repro.bench.queries import r2_under_r1, thm67
 from repro.core.enclosure import enclosureness, nested_sequence
 from repro.core.engine import CrownEngine
-from repro.cq.join_tree import free_connex_trees
-from repro.cq.query import CQ, Relation
 import time
 
 
 def main() -> None:
     args = common.std_parser(__doc__).parse_args()
     lambdas = [1, 4, 16] if args.quick else [1, 2, 4, 8, 16, 32, 64]
-    cq = CQ(
-        (Relation("R1", ("x1", "x2")), Relation("R2", ("x2",))),
-        output=("x1",),
-        name="thm67",
-    )
-    tree = next(
-        t for t in free_connex_trees(cq) if "R2" in t.subtree(t.relation_node("R1"))
-    )
+    cq = thm67()
+    tree = r2_under_r1(cq)
     rows = []
     for lam in lambdas:
         seq = nested_sequence("R1", "R2", lam, scale=8)

@@ -7,6 +7,7 @@ over them, recording wall-clock, per-update latency and state size.
 """
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 
@@ -43,6 +44,27 @@ def graph_stream(
     if window is None:
         return insertion_only_sequence(rows)
     return fifo_window_sequence(rows, window)
+
+
+def stream_pdf(n, dom, seed=3):
+    """The Fig. 10 stream: ``n`` inserts and deletes of edges over
+    ``dom`` vertices, as columns seq, stream, sign, v0, v1."""
+    rng = random.Random(seed)
+    rows, live, seq = [], set(), 0
+    while len(rows) < n:
+        if live and rng.random() < 0.35:
+            t = rng.choice(sorted(live))
+            live.discard(t)
+            sign = -1
+        else:
+            t = (rng.randrange(dom), rng.randrange(dom))
+            if t in live:
+                continue
+            live.add(t)
+            sign = 1
+        rows.append((seq, "G", sign, t[0], t[1]))
+        seq += 1
+    return pd.DataFrame(rows, columns=["seq", "stream", "sign", "v0", "v1"])
 
 
 def vertex_rows(pdf: pd.DataFrame) -> list[tuple[str, tuple]]:

@@ -2,9 +2,10 @@
 
 Graph queries are self-joins of a single edge stream ``G(src, dst)``;
 attribute names follow the paper (A, B, C, …). ``FILTER OVER (x)``
-keeps 10% of the designated endpoint values via a deterministic hash
-selection pushed to the filtered atom (§7.2). Each entry also carries
-the DuckDB SQL used by the oracle for end-state result checks.
+keeps 10% of the designated endpoint values via ``Selection(x, "%", 10)``
+pushed to the filtered atom (§7.2). Each entry also carries the DuckDB
+SQL used by the oracle for end-state result checks; that SQL is written
+by hand, so it stays an independent reference.
 
 SNB queries run over the SNB-lite schema (repro.synth_data.snb_tables)
 with unified join-attribute names; ``m_c_replyof IS NULL`` is an atom
@@ -14,20 +15,11 @@ DistinctCountAggregator (§7.1/§7.3; see DESIGN.md).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.cq.query import CQ, Relation
-
-
-def keep10(x: object) -> bool:
-    """The FILTER OVER predicate: keep ~10% of endpoint values."""
-    return int(x) % 10 == 0
-
-
-def _sel(attr_index: int) -> Callable[[tuple], bool]:
-    return lambda t: keep10(t[attr_index])
+from repro.cq.join_tree import JoinTree, free_connex_trees
+from repro.cq.query import CQ, Relation, Selection
 
 
 @dataclass
@@ -59,7 +51,7 @@ def hop3_full() -> BenchQuery:
         ),
         output=("A", "B", "C", "D"),
         name="3hop_full",
-        selections=(("G3", _sel(1)),),  # FILTER OVER (G3.dst)
+        where=(("G3", Selection("D", "%", 10)),),  # FILTER OVER (G3.dst)
     )
     sql = """
         SELECT G1.src AS A, G1.dst AS B, G2.dst AS C, G3.dst AS D
@@ -97,7 +89,7 @@ def hop4_full() -> BenchQuery:
         ),
         output=("A", "B", "C", "D", "E"),
         name="4hop_full",
-        selections=(("G4", _sel(1)),),
+        where=(("G4", Selection("E", "%", 10)),),
     )
     sql = """
         SELECT G1.src AS A, G1.dst AS B, G2.dst AS C, G3.dst AS D, G4.dst AS E
@@ -119,7 +111,7 @@ def hop4_proj() -> BenchQuery:
         ),
         output=("A", "B", "C", "D"),
         name="4hop_proj",
-        selections=(("G4", _sel(1)),),
+        where=(("G4", Selection("E", "%", 10)),),
     )
     sql = """
         SELECT DISTINCT G1.src AS A, G1.dst AS B, G2.dst AS C, G3.dst AS D
@@ -140,7 +132,7 @@ def star() -> BenchQuery:
         ),
         output=("A", "B", "C", "D"),
         name="star",
-        selections=(("G3", _sel(1)),),
+        where=(("G3", Selection("D", "%", 10)),),
     )
     sql = """
         SELECT G1.src AS A, G1.dst AS B, G2.dst AS C, G3.dst AS D
@@ -207,7 +199,7 @@ def dumbbell_full() -> BenchQuery:
 
 def dumbbell_proj() -> BenchQuery:
     cq = dumbbell_full().cq.with_output(("x3", "x4"))
-    cq = CQ(cq.relations, cq.output, "dumbbell_proj", cq.selections)
+    cq = CQ(cq.relations, cq.output, "dumbbell_proj", cq.where)
     sql = """
         SELECT DISTINCT G4.src AS x3, G4.dst AS x4
         FROM G G1, G G2, G G3, G G4, G G5, G G6, G G7
@@ -231,9 +223,7 @@ _SNB_STREAMS = {
 }
 
 
-def _not_reply(t: tuple) -> bool:
-    """m_c_replyof IS NULL (None in tuples)."""
-    return t[2] is None
+NOT_REPLY = Selection("ro", "is null")  # m_c_replyof IS NULL
 
 
 def snb_q1() -> BenchQuery:
@@ -266,7 +256,7 @@ def snb_q2() -> BenchQuery:
         ),
         output=("a", "b", "c", "t", "m"),
         name="snb_q2",
-        selections=(("message", _not_reply), ("knows1", _sel(0))),
+        where=(("message", NOT_REPLY), ("knows1", Selection("a", "%", 10))),
     )
     sql = """
         SELECT k1.k_person1id AS a, k1.k_person2id AS b, k2.k_person2id AS c,
@@ -282,7 +272,7 @@ def snb_q2() -> BenchQuery:
 def snb_q3() -> BenchQuery:
     base = snb_q2()
     cq = CQ(
-        base.cq.relations, base.cq.output, "snb_q3", base.cq.selections
+        base.cq.relations, base.cq.output, "snb_q3", base.cq.where
     )
     sql = base.sql + " AND k2.k_person2id <> k1.k_person1id"
     return BenchQuery(
@@ -308,7 +298,7 @@ def snb_q4_inner() -> BenchQuery:
         ),
         output=("tname", "t", "m"),
         name="snb_q4_inner",
-        selections=(("message", _not_reply), ("knows", _sel(0))),
+        where=(("message", NOT_REPLY), ("knows", Selection("a", "%", 10))),
     )
     sql = """
         SELECT DISTINCT t_name AS tname, t_tagid AS t, m_messageid AS m
@@ -345,3 +335,34 @@ SNB_QUERIES = {
     "snb_q3": snb_q3,
     "snb_q4": snb_q4_inner,
 }
+
+
+# ---------------------------------------------------------------------------
+# the §6 lower-bound query and the Fig. 12 selectivity sweep
+# ---------------------------------------------------------------------------
+
+def thm67() -> CQ:
+    """π_{x1}(R1(x1,x2) ⋈ R2(x2)) — the lower-bound query of Thm. 6.7."""
+    return CQ(
+        (Relation("R1", ("x1", "x2")), Relation("R2", ("x2",))),
+        output=("x1",),
+        name="thm67",
+    )
+
+
+def r2_under_r1(cq: CQ) -> JoinTree:
+    """The first free-connex tree of ``cq`` with R2 below R1: child churn
+    then drives P-UPDATEs through every parent (the Θ(λ) plan)."""
+    return next(
+        t for t in free_connex_trees(cq) if "R2" in t.subtree(t.relation_node("R1"))
+    )
+
+
+def keep_pct(bq: BenchQuery, pct: int) -> CQ:
+    """Fig. 12: ``bq`` with its FILTER OVER selection widened to keep
+    about ``pct`` percent of the filtered endpoint values."""
+    cq = bq.cq
+    ((atom, sel),) = cq.where
+    mod = max(1, round(100 / pct))
+    where = ((atom, Selection(sel.attr, "%", mod)),)
+    return CQ(cq.relations, cq.output, f"{cq.name}_keep{pct}", where)

@@ -43,9 +43,6 @@ class StandardCPEngine:
         self.order = list(order) if order is not None else names
         assert sorted(self.order) == sorted(names)
         self.rels = {r.name: r for r in cq.relations}
-        self._selections: dict[str, list] = {}
-        for rel, pred in cq.selections:
-            self._selections.setdefault(rel, []).append(pred)
         self.base: dict[str, set] = {n: set() for n in names}
         # prefix attribute lists; shared (join) attrs at each position
         self.prefix_attrs: list[tuple[str, ...]] = []
@@ -99,7 +96,7 @@ class StandardCPEngine:
     def apply(self, u: Update) -> list[tuple[int, tuple]]:
         out: list[tuple[int, tuple]] = []
         for atom in self.cq.atoms_of_stream(u.stream):
-            if any(not p(u.tuple) for p in self._selections.get(atom.name, ())):
+            if any(not p(u.tuple) for p in self.cq.selections_on(atom.name)):
                 continue
             out.extend(self._apply_atom(atom.name, u.tuple, u.is_insert))
         self.stats["updates"] += 1

@@ -58,37 +58,26 @@ class _Node:
         self.parent: str | None = tn.parent
         self.children: tuple[str, ...] = tn.children
         self.is_root = tn.parent is None
-        aset = set(self.attrs)
-        parent_attrs = set(tree.node(tn.parent).attrs) if tn.parent else set()
 
         def pos_of(sub: Iterable[str]) -> tuple[int, ...]:
             return tuple(self.attrs.index(a) for a in sub)
 
-        self.key_attrs = tuple(sorted(aset & parent_attrs))
-        self.key_get = _getter(pos_of(self.key_attrs))
-        self.y_attrs = tuple(sorted(aset & y))
+        key = tree.key(name)
+        self.key_get = _getter(pos_of(key))
+        self.y_attrs = tuple(sorted(set(self.attrs) & y))
         self.y_get = _getter(pos_of(self.y_attrs))
-        self.boundary = bool(aset - y)
+        self.boundary = bool(set(self.attrs) - y)
         # extra output attrs beyond the parent key (Algorithm 5 line 2/3)
-        self.extra_y = bool(set(self.y_attrs) - set(self.key_attrs))
-        self.key_y_attrs = tuple(sorted(set(self.key_attrs) & y))
+        self.extra_y = bool(set(self.y_attrs) - set(key))
+        self.key_y_attrs = tuple(a for a in key if a in y)
         self.key_y_get = _getter(self.y_attrs.index(a) for a in self.key_y_attrs)
-        # child c -> (its join attrs, projection of t / of a y-value onto them)
-        self.ck_attrs: dict[str, tuple[str, ...]] = {}
+        # child c -> projection of t / of a y-value onto key(c)
         self.ck_get: dict[str, Callable[[tuple], tuple]] = {}
         self.cky_get: dict[str, Callable[[tuple], tuple]] = {}
         for c in self.children:
-            ck = tuple(sorted(aset & set(tree.node(c).attrs)))
-            self.ck_attrs[c] = ck
-            self.ck_get[c] = _getter(pos_of(ck))
-            self.cky_get[c] = _getter(self.y_attrs.index(a) for a in ck if a in y)
-        # defining children (generalized nodes): children whose attrs
-        # contain this node's — their V_p's union forms the virtual
-        # relation R_e (Example 4.2 generalized; see DESIGN.md)
-        self.def_children: frozenset[str] = frozenset(
-            c for c in self.children
-            if self.is_gen and aset <= set(tree.node(c).attrs)
-        )
+            self.ck_get[c] = _getter(pos_of(tree.key(c)))
+            self.cky_get[c] = _getter(self.y_attrs.index(a) for a in tree.key(c) if a in y)
+        self.def_children = frozenset(tree.defining_children(name))
         # dynamic state
         self.tuples: dict[tuple, int] = {}
         self.def_pres: dict[tuple, int] = {}  # defining-support refcounts
@@ -203,11 +192,8 @@ class CrownEngine:
             n: _Node(self.tree, n, y) for n in self.tree.nodes
         }
         # per atom: its tree node and its §7.2 selections; per stream: its atoms
-        preds: dict[str, list] = {}
-        for rel, pred in cq.selections:
-            preds.setdefault(rel, []).append(pred)
         self._atoms = {
-            r.name: (self.nodes[self.tree.relation_node(r.name)], tuple(preds.get(r.name, ())))
+            r.name: (self.nodes[self.tree.relation_node(r.name)], cq.selections_on(r.name))
             for r in cq.relations
         }
         self._stream_atoms: dict[str, list] = {}
@@ -225,10 +211,7 @@ class CrownEngine:
         def into(layout: tuple[str, ...], attrs: Iterable[str]) -> Callable:
             return _getter(layout.index(a) for a in attrs)
 
-        preorder, stack = [], [self.tree.root]
-        while stack:
-            preorder.append(nodes[stack.pop()])
-            stack.extend(preorder[-1].children)
+        preorder = [nodes[name] for name in self.tree.preorder()]
         for n in reversed(preorder):  # children first
             n.sat = [(nodes[c].vs_by_key, n.ck_get[c]) for c in n.children]
             # a boundary child without extra output attrs yields only ()
@@ -267,7 +250,7 @@ class CrownEngine:
                     continue  # the subtree contributes only e∩y, already in the chain
                 for c, _ in f.enum_children:
                     if c is not prev:
-                        kids.append((c, into(layout, f.ck_attrs[c.name])))
+                        kids.append((c, into(layout, self.tree.key(c.name))))
                         layout += c.layout
             self._wplans[n.name] = (chain, kids, into(layout, out))
 

@@ -38,9 +38,6 @@ class FirstOrderHIVMEngine:
         self.max_view_rows = max_view_rows
         self.names = [r.name for r in cq.relations]
         self.rels = {r.name: r for r in cq.relations}
-        self._selections: dict[str, list] = {}
-        for rel, pred in cq.selections:
-            self._selections.setdefault(rel, []).append(pred)
         self.base: dict[str, set] = {n: set() for n in self.names}
         # per-atom auxiliary view M_i over the union of the other atoms'
         # attributes, plus join orders and persistent base indexes
@@ -111,7 +108,7 @@ class FirstOrderHIVMEngine:
     def apply(self, u: Update) -> list[tuple[int, tuple]]:
         out: list[tuple[int, tuple]] = []
         for atom in self.cq.atoms_of_stream(u.stream):
-            if any(not p(u.tuple) for p in self._selections.get(atom.name, ())):
+            if any(not p(u.tuple) for p in self.cq.selections_on(atom.name)):
                 continue
             out.extend(self._apply_atom(atom.name, u.tuple, u.is_insert))
         self.stats["updates"] += 1

@@ -1,5 +1,5 @@
 """Conjunctive-query substrate: queries, generalized join trees, GHDs."""
-from repro.cq.query import CQ, Relation
+from repro.cq.query import CQ, Relation, Selection
 from repro.cq.join_tree import (
     JoinTree,
     TreeNode,
@@ -13,6 +13,7 @@ from repro.cq.join_tree import (
 __all__ = [
     "CQ",
     "Relation",
+    "Selection",
     "JoinTree",
     "TreeNode",
     "best_tree",

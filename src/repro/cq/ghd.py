@@ -16,14 +16,17 @@ from typing import Iterable
 from repro.core.baseline_cp import StandardCPEngine
 from repro.core.engine import CrownEngine
 from repro.cq.join_tree import JoinTree, best_tree
-from repro.cq.query import CQ, Relation
+from repro.cq.query import CQ, Relation, Selection
 from repro.streams.sequences import Update
 
 
 class Bag:
-    """One GHD bag: a full-join subquery maintained by standard CP."""
+    """One GHD bag: a full-join subquery maintained by standard CP,
+    with its atoms' selections (``where``) applied inside the bag."""
 
-    def __init__(self, name: str, atoms: Iterable[Relation]) -> None:
+    def __init__(
+        self, name: str, atoms: Iterable[Relation], where: tuple[tuple[str, Selection], ...] = ()
+    ) -> None:
         self.name = name
         self.atoms = tuple(atoms)
         attrs: list[str] = []
@@ -32,7 +35,7 @@ class Bag:
                 if x not in attrs:
                     attrs.append(x)
         self.attrs = tuple(attrs)
-        self.cq = CQ(self.atoms, self.attrs, name=f"bag_{name}")
+        self.cq = CQ(self.atoms, self.attrs, name=f"bag_{name}", where=where)
         self.engine = StandardCPEngine(self.cq)
 
     def apply(self, u: Update) -> list[tuple[int, tuple]]:
@@ -62,17 +65,16 @@ class GHDEngine:
         self.bags: list[Bag] = []
         for bname, atom_names in bags.items():
             atoms = [cq.relation(n) for n in atom_names]
-            self.bags.append(Bag(bname, atoms))
+            where = tuple((rel, s) for rel, s in cq.where if rel in atom_names)
+            self.bags.append(Bag(bname, atoms, where))
             bagged.update(atom_names)
         outer_rels: list[Relation] = [
             Relation(b.name, b.attrs, stream=b.name) for b in self.bags
         ]
         outer_rels += [r for r in cq.relations if r.name not in bagged]
-        outer_sel = tuple(
-            (rel, p) for rel, p in cq.selections if rel not in bagged
-        )
+        outer_where = tuple((rel, s) for rel, s in cq.where if rel not in bagged)
         self.outer_cq = CQ(
-            tuple(outer_rels), cq.output, name=f"{cq.name}_ghd", selections=outer_sel
+            tuple(outer_rels), cq.output, name=f"{cq.name}_ghd", where=outer_where
         )
         self.crown = CrownEngine(
             self.outer_cq,

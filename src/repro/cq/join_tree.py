@@ -63,12 +63,21 @@ class JoinTree:
         return [self.nodes[c] for c in self.nodes[name].children]
 
     def key(self, name: str) -> tuple[str, ...]:
-        """``key(e) = e ∩ p(e)`` in the child node's attribute order."""
+        """``key(e) = e ∩ p(e)``, sorted; empty at the root."""
         n = self.nodes[name]
         if n.parent is None:
             return ()
-        pa = self.nodes[n.parent].attr_set
-        return tuple(a for a in n.attrs if a in pa)
+        return tuple(sorted(n.attr_set & self.nodes[n.parent].attr_set))
+
+    def defining_children(self, name: str) -> tuple[str, ...]:
+        """The children of a generalized node whose attributes contain
+        its own: the union of their V_p's is its virtual relation R_e
+        (Example 4.2 generalized; see DESIGN.md). The other children act
+        as counter-based semi-join filters. Empty for a relation node."""
+        n = self.nodes[name]
+        if not n.is_generalized:
+            return ()
+        return tuple(c for c in n.children if n.attr_set <= self.nodes[c].attr_set)
 
     def path_to_root(self, name: str) -> list[str]:
         out, cur = [], name
@@ -84,6 +93,10 @@ class JoinTree:
             out.append(cur)
             stack.extend(self.nodes[cur].children)
         return out
+
+    def preorder(self) -> list[str]:
+        """Every node, each before its descendants; the root first."""
+        return self.subtree(self.root)
 
     def postorder(self) -> list[str]:
         out: list[str] = []
@@ -170,17 +183,12 @@ class JoinTree:
             if set(holders) - reach:
                 errs.append(f"attr {attr} not connected: {holders}")
         # (3)+(4) [see DESIGN.md]: every generalized node must have at
-        # least one *defining* child whose attributes contain it (its
-        # virtual relation is the union of the defining children's
-        # projection views, generalizing Example 4.2; the remaining
-        # children act as counter-based semi-join filters). This is the
-        # laxer reading needed for mid-tree generalized nodes (e.g. the
-        # SNB Q2 plan), under which Def. 3.2 stays equivalent to the
-        # hypergraph definition of free-connex.
+        # least one defining child. This is the laxer reading needed for
+        # mid-tree generalized nodes (e.g. the SNB Q2 plan), under which
+        # Def. 3.2 stays equivalent to the hypergraph definition of
+        # free-connex.
         for n in self.nodes.values():
-            if n.is_generalized and not any(
-                n.attr_set <= self.nodes[c].attr_set for c in n.children
-            ):
+            if n.is_generalized and not self.defining_children(n.name):
                 errs.append(f"generalized {n.name} has no defining child")
         # generalized attrs must come from some input relation (Def 3.1:
         # a generalized relation is derived from an input relation)
@@ -319,7 +327,8 @@ def _canonicalize_root(tree: JoinTree) -> JoinTree | None:
     """Ensure root ⊆ y by capping with a generalized root [root ∩ y].
 
     Def. 3.2 requires ``r ⊆ y``; the paper adds e.g. ``[x1]`` on top in
-    §6.2. No-op when the root already qualifies.
+    §6.2. No-op when the root already qualifies. A Boolean query (y = ∅)
+    gets the empty root ``[]``.
     """
     cq = tree.cq
     y = cq.output_set
@@ -327,8 +336,6 @@ def _canonicalize_root(tree: JoinTree) -> JoinTree | None:
     if rnode.attr_set <= y:
         return tree
     g = rnode.attr_set & y
-    if not g:
-        return None
     parent_of = {
         n.relation: n.parent
         for n in tree.nodes.values()

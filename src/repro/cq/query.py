@@ -9,7 +9,7 @@ R, we apply the update to both copies").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -37,19 +37,56 @@ class Relation:
 
 
 @dataclass(frozen=True)
+class Selection:
+    """A §7.2 atom selection ``attr op const``, pushed to the update stream.
+
+    ``op`` is ``"%"`` (keep ``attr % const == 0``; FILTER OVER and the
+    Fig. 12 sweep) or ``"is null"`` (keep ``attr IS NULL``; SNB's
+    ``m_c_replyof``). A NULL attribute fails ``"%"``, as in SQL.
+    """
+
+    attr: str
+    op: str
+    const: int | None = None
+
+    def __post_init__(self) -> None:
+        modulus = self.op == "%" and isinstance(self.const, int) and self.const >= 1
+        if not (modulus or (self.op == "is null" and self.const is None)):
+            raise ValueError(f"unsupported selection: {self.attr} {self.op} {self.const!r}")
+
+    def predicate(self, pos: int) -> Callable[[tuple], bool]:
+        """The predicate over an atom tuple holding ``attr`` at ``pos``."""
+        if self.op == "is null":
+            return lambda t: t[pos] is None
+        m = self.const
+        return lambda t: t[pos] is not None and t[pos] % m == 0
+
+    def column(self):
+        """The same predicate as a Spark ``Column`` over ``attr``."""
+        from pyspark.sql import functions as F
+
+        c = F.col(self.attr)
+        return c.isNull() if self.op == "is null" else c % self.const == 0
+
+
+@dataclass(frozen=True)
 class CQ:
     """A conjunctive query: atoms plus output attributes ``y``.
 
     ``output`` is ordered — enumeration and delta emission use this
-    order. ``selections`` maps a relation name to a predicate applied
+    order. ``where`` holds ``(relation name, Selection)`` pairs, applied
     to incoming tuples of that relation (§7.2: selections cost O(1)
-    and are pushed to the update stream).
+    and are pushed to the update stream). Each is bound once, at
+    construction, to its atom's attribute position.
     """
 
     relations: tuple[Relation, ...]
     output: tuple[str, ...]
     name: str = "Q"
-    selections: tuple[tuple[str, object], ...] = field(default=())
+    where: tuple[tuple[str, Selection], ...] = ()
+    _preds: dict[str, tuple[Callable[[tuple], bool], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         names = [r.name for r in self.relations]
@@ -58,6 +95,13 @@ class CQ:
         missing = set(self.output) - self.all_attrs
         if missing:
             raise ValueError(f"output attrs {missing} not in any relation")
+        preds: dict[str, tuple] = {}
+        for rel, sel in self.where:
+            attrs = self.relation(rel).attrs
+            if sel.attr not in attrs:
+                raise ValueError(f"selection on {sel.attr}: not an attribute of {rel}{attrs}")
+            preds[rel] = preds.get(rel, ()) + (sel.predicate(attrs.index(sel.attr)),)
+        object.__setattr__(self, "_preds", preds)
 
     @property
     def all_attrs(self) -> frozenset[str]:
@@ -78,6 +122,16 @@ class CQ:
                 return r
         raise KeyError(name)
 
+    @property
+    def selections(self) -> tuple[tuple[str, Callable[[tuple], bool]], ...]:
+        """Every compiled selection as ``(relation name, p)``, where
+        ``p(atom tuple)`` is the predicate."""
+        return tuple((rel, p) for rel, ps in self._preds.items() for p in ps)
+
+    def selections_on(self, rel: str) -> tuple[Callable[[tuple], bool], ...]:
+        """The compiled selections of one atom (empty when it has none)."""
+        return self._preds.get(rel, ())
+
     def atoms_of_stream(self, stream: str) -> list[Relation]:
         """All copies fed by one logical stream (self-join fan-out)."""
         return [r for r in self.relations if r.stream == stream]
@@ -86,4 +140,4 @@ class CQ:
         return [r.attr_set for r in self.relations]
 
     def with_output(self, output: Iterable[str]) -> "CQ":
-        return CQ(self.relations, tuple(output), self.name, self.selections)
+        return CQ(self.relations, tuple(output), self.name, self.where)

@@ -15,7 +15,7 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.cq.query import CQ
-from repro.spark.state import checkpoint, empty_df
+from repro.spark.state import checkpoint, empty_df, selection_filters
 
 
 class SparkStandardCP:
@@ -28,13 +28,12 @@ class SparkStandardCP:
         order: list[str] | None = None,
         delta_only: bool = False,
         post_filter: Column | None = None,
-        atom_filters: dict[str, Column] | None = None,
     ) -> None:
         self.spark = spark
         self.cq = cq
         self.delta_only = delta_only
         self.post_filter = post_filter
-        self.atom_filters = atom_filters or {}
+        self.atom_filters = selection_filters(cq)
         names = [r.name for r in cq.relations]
         self.order = list(order) if order is not None else names
         self.rels = {r.name: r for r in cq.relations}

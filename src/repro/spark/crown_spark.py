@@ -52,7 +52,7 @@ from pyspark.sql import functions as F
 
 from repro.cq.join_tree import JoinTree, best_tree
 from repro.cq.query import CQ
-from repro.spark.state import anti, checkpoint, empty_df, semi
+from repro.spark.state import anti, checkpoint, empty_df, selection_filters, semi
 
 # row kinds of a node frame (column ``_k``)
 ROW, VP, KEYS = 0, 1, 2
@@ -135,25 +135,18 @@ class SparkCrown:
         if not self.tree.is_free_connex_tree():
             raise ValueError("tree is not a valid free-connex join tree")
         self.post_filter = post_filter
-        self.atom_filters = atom_filters or {}
+        # a passed map replaces the filters compiled from ``cq.where``
+        self.atom_filters = atom_filters if atom_filters is not None else selection_filters(cq)
         self.nodes: dict[str, _NodeState] = {}
         for name in self.tree.postorder():
             tn = self.tree.node(name)
             attrs = list(tn.attrs)
-            parent = self.tree.parent(name)
-            key = sorted(set(attrs) & set(parent.attrs)) if parent else []
-            def_children = [
-                c
-                for c in tn.children
-                if tn.is_generalized
-                and set(attrs) <= set(self.tree.node(c).attrs)
-            ]
             self.nodes[name] = _NodeState(
                 name=name,
                 attrs=attrs,
-                key=key,
+                key=list(self.tree.key(name)),
                 children=list(tn.children),
-                def_children=def_children,
+                def_children=list(self.tree.defining_children(name)),
                 is_gen=tn.is_generalized,
                 frame=empty_df(spark, attrs + ["_k", "_v"]),
             )
@@ -338,7 +331,7 @@ class SparkCrown:
         For a ``delta`` pass ``acc`` is delta-sized and is broadcast.
         """
         y = set(self.cq.output)
-        for name in self.tree.subtree(self.tree.root)[1:]:
+        for name in self.tree.preorder()[1:]:
             node = self.nodes[name]
             keep = sorted(set(node.key) | (set(node.attrs) & (y | self._below_keys(name))))
             side = u[name].selectExpr(*_quoted(keep), "_o AS _o2", "_n AS _n2")

@@ -13,7 +13,7 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.cq.query import CQ
-from repro.spark.state import checkpoint, empty_df
+from repro.spark.state import checkpoint, empty_df, selection_filters
 
 
 class SparkFirstOrderHIVM:
@@ -22,12 +22,11 @@ class SparkFirstOrderHIVM:
         spark: SparkSession,
         cq: CQ,
         post_filter: Column | None = None,
-        atom_filters: dict[str, Column] | None = None,
     ) -> None:
         self.spark = spark
         self.cq = cq
         self.post_filter = post_filter
-        self.atom_filters = atom_filters or {}
+        self.atom_filters = selection_filters(cq)
         self.names = [r.name for r in cq.relations]
         self.rels = {r.name: r for r in cq.relations}
         self.base: dict[str, DataFrame] = {

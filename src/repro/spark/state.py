@@ -8,8 +8,10 @@ Streaming state-store equivalent for a synchronous driver loop).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
+
+from repro.cq.query import CQ
 
 
 def empty_df(spark: SparkSession, cols: list[str]) -> DataFrame:
@@ -47,3 +49,13 @@ def semi(df: DataFrame, small: DataFrame, on: list[str]) -> DataFrame:
 def anti(df: DataFrame, small: DataFrame, on: list[str]) -> DataFrame:
     """Rows of ``df`` without a match in the delta-sized ``small``."""
     return df.join(_probe(small, on), on=on or None, how="left_anti")
+
+
+def selection_filters(cq: CQ) -> dict[str, Column]:
+    """Each atom's §7.2 selections (``cq.where``) as one Spark filter
+    over the atom's attribute columns."""
+    out: dict[str, Column] = {}
+    for rel, sel in cq.where:
+        col = sel.column()
+        out[rel] = out[rel] & col if rel in out else col
+    return out

@@ -94,23 +94,6 @@ def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFra
     return spark.createDataFrame(pdf)
 
 
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )
-
-
 # ---------------------------------------------------------------------------
 # Paper-specific substrates (Change Propagation Without Joins, VLDB'23)
 # ---------------------------------------------------------------------------
@@ -156,10 +139,6 @@ def graph_edges_pdf(*, sf: float = 0.01, alpha: float = 1.2, seed: int = 7) -> p
     return (
         pdf.head(n_edges).reset_index(drop=True).astype({"src": "int64", "dst": "int64"})
     )
-
-
-def graph_edges(spark: SparkSession, *, sf: float = 0.01, alpha: float = 1.2, seed: int = 7) -> DataFrame:
-    return spark.createDataFrame(graph_edges_pdf(sf=sf, alpha=alpha, seed=seed))
 
 
 def snb_tables_pdf(*, sf: float = 0.01, seed: int = 11) -> dict[str, pd.DataFrame]:

@@ -28,7 +28,7 @@ def selected_db(cq: CQ, stream_db: dict[str, set]) -> dict[str, set]:
     db = {}
     for r in cq.relations:
         base = set(stream_db.get(r.stream, set()))
-        sel = [p for rel, p in cq.selections if rel == r.name]
+        sel = cq.selections_on(r.name)
         db[r.name] = {t for t in base if all(p(t) for p in sel)}
     return db
 

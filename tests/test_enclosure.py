@@ -1,7 +1,7 @@
 """Enclosureness (§6): definitions, lemmas, constructions."""
 import pytest
 
-from repro.bench.queries import hop3_full, hop4_proj, star
+from repro.bench.queries import hop3_full, hop4_proj, r2_under_r1, star
 from repro.core.enclosure import (
     enclosureness,
     nested_sequence,
@@ -71,13 +71,8 @@ class TestTreeLambda:
     def test_example_65_rooted_tree_grows(self):
         # λ_{T1} ≈ n on the nested sequence when R2 sits under R1
         cq = q1(("x2",))
-        trees = [t for t in free_connex_trees(cq) if t.height == 2]
-        # pick the tree where R2 is a descendant of R1
-        t1 = next(
-            t
-            for t in trees
-            if "R2" in t.subtree(t.relation_node("R1"))
-        )
+        t1 = r2_under_r1(cq)  # R2 below R1, so height 2
+        assert t1.height == 2
         n = 6
         seq = nested_sequence("R1", "R2", n)
         lam = tree_enclosureness(seq, cq, t1)

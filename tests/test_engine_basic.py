@@ -4,9 +4,9 @@ import pytest
 from repro.core.engine import CrownEngine
 from repro.core.naive import evaluate, witnessed
 from repro.cq.join_tree import best_tree, free_connex_trees
-from repro.cq.query import CQ, Relation
+from repro.cq.query import CQ, Relation, Selection
 from repro.streams.sequences import Update
-from tests._util import random_updates
+from tests._util import random_updates, selected_db
 
 
 def two_hop(output=("A", "B", "C")):
@@ -75,7 +75,7 @@ class TestBasics:
         cq = CQ(
             (Relation("R", ("A", "B")), Relation("S", ("B", "C"))),
             output=("A", "B", "C"),
-            selections=(("S", lambda t: t[1] % 2 == 0),),
+            where=(("S", Selection("C", "%", 2)),),
         )
         eng = CrownEngine(cq)
         eng.apply(Update("R", (1, 2), True))
@@ -125,15 +125,7 @@ class TestLemma51:
             (dbs[s].add if ins else dbs[s].discard)(t)
             eng.apply(Update(s, t, ins))
         # check every node's V_s against a brute-force subtree join
-        sel = {rel: p for rel, p in cq.selections}
-        db = {
-            r.name: {
-                t
-                for t in dbs[r.stream]
-                if r.name not in sel or sel[r.name](t)
-            }
-            for r in cq.relations
-        }
+        db = selected_db(cq, dbs)
         for name in tree.postorder():
             node = tree.node(name)
             sub_rels = [

@@ -10,6 +10,7 @@ import pytest
 from repro.bench.queries import GRAPH_QUERIES, SNB_QUERIES
 from repro.core.engine import CrownEngine
 from repro.cq.join_tree import best_tree, free_connex_trees
+from repro.cq.query import CQ, Relation
 from repro.streams.sequences import Update
 from tests._util import (
     expected_result, fuzz_engine_vs_naive, output_orders, query_in_order,
@@ -86,6 +87,21 @@ def test_every_tree_gives_same_deltas(name):
             dom=4,
             seed=100 + i,
             post_filter=bq.post_filter,
+        )
+
+
+_R, _S, _T = Relation("R", ("A", "B")), Relation("S", ("B", "C")), Relation("T", ("C", "D"))
+BOOLEAN_QUERIES = [CQ((_R,), (), "R"), CQ((_R, _S), (), "RS"), CQ((_R, _S, _T), (), "RST")]
+
+
+@pytest.mark.parametrize("cq", BOOLEAN_QUERIES, ids=lambda cq: cq.name)
+def test_boolean_query_deltas(cq):
+    """y = ∅: every tree (its root capped with []) emits (+1, ()) and
+    (−1, ()) exactly when Q(D) becomes true and false."""
+    arity = {r.name: len(r.attrs) for r in cq.relations}
+    for i, tree in enumerate(free_connex_trees(cq)):
+        fuzz_engine_vs_naive(
+            lambda: CrownEngine(cq, tree), cq, arity, steps=150, dom=3, seed=i, check_full=10
         )
 
 

@@ -1,7 +1,10 @@
-"""CQ/Relation substrate (§3.1)."""
+"""CQ/Relation substrate (§3.1) and atom selections (§7.2)."""
+from collections import Counter
+
 import pytest
 
-from repro.cq.query import CQ, Relation
+from repro.bench.queries import GRAPH_QUERIES, SNB_QUERIES
+from repro.cq.query import CQ, Relation, Selection
 
 
 def test_relation_attrs():
@@ -78,3 +81,39 @@ def test_relation_lookup():
     assert cq.relation("R").attrs == ("a",)
     with pytest.raises(KeyError):
         cq.relation("X")
+
+
+def test_selection_must_fit_its_atom():
+    with pytest.raises(ValueError):
+        CQ((Relation("R", ("a",)),), ("a",), where=(("R", Selection("b", "%", 2)),))
+    with pytest.raises(ValueError):
+        Selection("a", "%", 0)
+    with pytest.raises(ValueError):
+        Selection("a", "is null", 1)
+
+
+# NULL, multiples of 10 (a negative one too) and non-multiples
+SPEC_VALUES = [None, 0, 7, 10, -10, -7, 25, 30]
+
+
+def test_selections_compile_alike_for_tuples_and_spark(spark):
+    """Each benchmark query's selections keep the same rows as tuple
+    predicates and as Spark filters. The other attributes of a row take
+    values the selection treats differently, so a predicate that reads
+    the wrong column is caught."""
+    from repro.spark.state import selection_filters
+
+    for factory in [*GRAPH_QUERIES.values(), *SNB_QUERIES.values()]:
+        cq = factory().cq
+        filters = selection_filters(cq)
+        for rel, sel in cq.where:
+            attrs = cq.relation(rel).attrs
+            rows = [
+                tuple(v if a == sel.attr else w for a in attrs)
+                for v in SPEC_VALUES for w in (None, 3, 10)
+            ]
+            df = spark.createDataFrame(rows, ", ".join(f"`{a}` long" for a in attrs))
+            kept = Counter(tuple(r) for r in df.filter(filters[rel]).collect())
+            want = Counter(t for t in rows if all(p(t) for p in cq.selections_on(rel)))
+            assert kept == want, (cq.name, rel)
+            assert 0 < len(want) < len(rows)

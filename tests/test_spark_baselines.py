@@ -1,7 +1,6 @@
 """Spark baselines (standard CP, first-order HIVM) vs oracle/engines."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.bench.queries import hop3_full, hop3_proj
 from repro.core.engine import CrownEngine
@@ -11,7 +10,22 @@ from repro.spark.crown_spark import SparkCrown
 from repro.spark.hivm_spark import SparkFirstOrderHIVM
 from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
-from tests.test_spark_crown import atom_filters_for, batched_graph_events
+from tests.test_spark_crown import batched_graph_events
+
+
+@pytest.mark.parametrize("engine_cls", [SparkCrown, SparkStandardCP, SparkFirstOrderHIVM])
+def test_engines_apply_the_query_selections(spark, engine_cls):
+    """Built from the query alone, each Spark engine applies hop3_full's
+    FILTER OVER (D % 10 = 0): of the two 3-hop paths, only the one
+    ending in 10 is a result."""
+    cq = hop3_full().cq
+    core = CrownEngine(cq)
+    edges = [(1, 2), (2, 3), (3, 4), (3, 10)]
+    want = {t for e in edges for _, t in core.apply(Update("G", e, True))}
+    sd = spark.createDataFrame(pd.DataFrame([(1, *e) for e in edges], columns=["sign", "a", "b"]))
+    rows = engine_cls(spark, cq).process_batch({"G": sd}).collect()
+    assert want == {(1, 2, 3, 10)}
+    assert {(r["sign"], *(r[x] for x in cq.output)) for r in rows} == {(1, 1, 2, 3, 10)}
 
 
 @pytest.mark.parametrize("engine_cls", [SparkStandardCP, SparkFirstOrderHIVM])
@@ -20,7 +34,7 @@ def test_batch_deltas_match_core(spark, engine_cls):
 
     bq = hop3_full()
     cq = bq.cq
-    eng = engine_cls(spark, cq, atom_filters=atom_filters_for(cq))
+    eng = engine_cls(spark, cq)
     core = CrownEngine(cq)
     for batch in batched_graph_events(n_batches=3, per_batch=30, seed=11):
         net = Counter()
@@ -38,7 +52,7 @@ def test_batch_deltas_match_core(spark, engine_cls):
 def test_spark_cp_vs_duckdb(spark):
     bq = hop3_full()
     g = graph_edges_pdf(sf=0.002, seed=6)
-    eng = SparkStandardCP(spark, bq.cq, atom_filters=atom_filters_for(bq.cq))
+    eng = SparkStandardCP(spark, bq.cq)
     eng.process_batch(
         {"G": spark.createDataFrame(g.assign(sign=1)[["sign", "src", "dst"]])}
     )

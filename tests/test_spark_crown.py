@@ -4,7 +4,6 @@ import random
 
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.bench.queries import hop3_full, hop3_proj, star
 from repro.core.engine import CrownEngine
@@ -15,14 +14,6 @@ from repro.spark.state import anti, semi
 from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
 from tests._util import jobs_of
-
-
-def atom_filters_for(cq):
-    out = {}
-    for rel, _pred in cq.selections:
-        r = cq.relation(rel)
-        out[rel] = F.col(r.attrs[1]) % 10 == 0
-    return out
 
 
 def batched_graph_events(n_batches=3, per_batch=35, dom=12, seed=0):
@@ -50,7 +41,7 @@ def batched_graph_events(n_batches=3, per_batch=35, dom=12, seed=0):
 def test_batch_deltas_match_core_engine(spark, factory):
     bq = factory()
     cq = bq.cq
-    sc = SparkCrown(spark, cq, best_tree(cq), atom_filters=atom_filters_for(cq))
+    sc = SparkCrown(spark, cq, best_tree(cq))
     core = CrownEngine(cq)
     from collections import Counter
 
@@ -76,7 +67,7 @@ def test_full_result_vs_duckdb_oracle(spark):
     bq = hop3_full()
     cq = bq.cq
     g = graph_edges_pdf(sf=0.002, seed=5)
-    sc = SparkCrown(spark, cq, atom_filters=atom_filters_for(cq))
+    sc = SparkCrown(spark, cq)
     sd = spark.createDataFrame(
         g.assign(sign=1)[["sign", "src", "dst"]]
     )
@@ -185,7 +176,7 @@ WARM_BATCH_JOBS = 60
 
 def test_warm_batch_job_budget(spark):
     cq = hop3_full().cq
-    sc = SparkCrown(spark, cq, best_tree(cq), atom_filters=atom_filters_for(cq))
+    sc = SparkCrown(spark, cq, best_tree(cq))
     cold, warm = (
         spark.createDataFrame(pd.DataFrame(b, columns=["sign", "a", "b"]))
         for b in batched_graph_events(n_batches=2, per_batch=25, seed=3)

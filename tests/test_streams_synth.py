@@ -9,12 +9,7 @@ from repro.streams.sequences import (
     insertion_only_sequence,
     time_window_sequence,
 )
-from repro.synth_data import (
-    graph_edges_pdf,
-    snb_tables_pdf,
-    uniform_keys,
-    zipf_keys,
-)
+from repro.synth_data import graph_edges_pdf, snb_tables_pdf
 
 
 class TestSequences:
@@ -109,14 +104,3 @@ class TestSNBGenerator:
         a = snb_tables_pdf(sf=0.01, seed=5)["knows"]
         b = snb_tables_pdf(sf=0.01, seed=5)["knows"]
         assert a.equals(b)
-
-
-class TestKeyGenerators:
-    def test_zipf_skew(self, spark):
-        df = zipf_keys(spark, n=5000, n_keys=100).toPandas()
-        counts = df.k.value_counts()
-        assert counts.iloc[0] > 5 * counts.median()
-
-    def test_uniform_coverage(self, spark):
-        df = uniform_keys(spark, n=5000, n_keys=50).toPandas()
-        assert df.k.nunique() == 50

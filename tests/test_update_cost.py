@@ -7,21 +7,11 @@ cost accounting — Lemma C.1) on sequences with dialled λ.
 import pytest
 
 from repro.bench.harness import graph_stream
-from repro.bench.queries import hop3_full, hop4_full, star
+from repro.bench.queries import hop3_full, hop4_full, r2_under_r1, star, thm67
 from repro.core.enclosure import nested_sequence, tree_enclosureness
 from repro.core.engine import CrownEngine
 from repro.cq.join_tree import best_tree, free_connex_trees
-from repro.cq.query import CQ, Relation
 from repro.streams.sequences import fifo_window_sequence
-
-
-def theorem67_query():
-    """π_{x1}(R1(x1,x2) ⋈ R2(x2)) — the lower-bound query of Thm 6.7."""
-    return CQ(
-        (Relation("R1", ("x1", "x2")), Relation("R2", ("x2",))),
-        output=("x1",),
-        name="thm67",
-    )
 
 
 def counters_per_update(cq, tree, seq):
@@ -32,13 +22,8 @@ def counters_per_update(cq, tree, seq):
 
 class TestLambdaScaling:
     def test_cost_scales_with_lambda(self):
-        cq = theorem67_query()
-        # R1 above R2: child churn drives P-UPDATEs through all parents
-        tree = next(
-            t
-            for t in free_connex_trees(cq)
-            if "R2" in t.subtree(t.relation_node("R1"))
-        )
+        cq = thm67()
+        tree = r2_under_r1(cq)
         costs = []
         for lam in (1, 2, 4, 8, 16):
             seq = nested_sequence("R1", "R2", lam)
@@ -95,18 +80,10 @@ class TestPlanChoiceMatters:
     def test_example_612_flavour(self):
         """Example 6.5/6.12: on the same sequence the height-1 tree is
         O(1)/update while the bad rooted tree pays Θ(λ)."""
-        cq = CQ(
-            (Relation("R1", ("x1", "x2")), Relation("R2", ("x2",))),
-            output=("x2",),
-            name="q1_proj",
-        )
-        trees = free_connex_trees(cq)
-        t_flat = next(t for t in trees if t.height == 1)
-        t_deep = next(
-            t
-            for t in trees
-            if t.height == 2 and "R2" in t.subtree(t.relation_node("R1"))
-        )
+        cq = thm67().with_output(("x2",))
+        t_flat = next(t for t in free_connex_trees(cq) if t.height == 1)
+        t_deep = r2_under_r1(cq)  # height 2: R1 is capped with [x2]
+        assert t_deep.height == 2
         seq = nested_sequence("R1", "R2", 12)
         c_flat = counters_per_update(cq, t_flat, seq)
         c_deep = counters_per_update(cq, t_deep, seq)
