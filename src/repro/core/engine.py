@@ -31,7 +31,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from repro.cq.join_tree import JoinTree, best_tree
+from repro.cq.join_tree import JoinTree, checked_tree
 from repro.cq.query import CQ
 from repro.streams.sequences import Update
 
@@ -176,15 +176,7 @@ class CrownEngine:
         emit_deltas: bool = True,
     ) -> None:
         self.cq = cq
-        self.tree = tree if tree is not None else best_tree(cq)
-        if (
-            tuple((r.name, r.attrs) for r in self.tree.cq.relations)
-            != tuple((r.name, r.attrs) for r in cq.relations)
-            or set(self.tree.cq.output) != set(cq.output)
-        ):
-            raise ValueError("tree was built for a different query/output")
-        if not self.tree.is_free_connex_tree():
-            raise ValueError("tree is not a valid free-connex join tree")
+        self.tree = checked_tree(cq, tree)
         self.post_filter = post_filter
         self.emit_deltas = emit_deltas
         y = cq.output_set

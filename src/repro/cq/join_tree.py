@@ -560,24 +560,31 @@ def free_connex_trees(cq: CQ, max_atoms: int = 7) -> list[JoinTree]:
     return out
 
 
-def best_tree(
-    cq: CQ, update_weights: dict[str, float] | None = None
-) -> JoinTree:
-    """§6.3 plan optimization: pick the tree minimizing ``Σ d(e)·N(e)``.
-
-    ``update_weights`` maps *stream* name → expected update count
-    ``N(e)`` (uniform when absent). Ties break on height, then node
-    count, then a deterministic signature.
+def best_tree(cq: CQ) -> JoinTree:
+    """§6.3 plan optimization: pick the tree minimizing ``Σ d(e)·N(e)``,
+    with every relation's update count ``N(e)`` taken as equal. Ties
+    break on height, then node count, then a deterministic signature.
     """
-    trees = free_connex_trees(cq)
-    w = update_weights or {}
 
     def cost(t: JoinTree) -> tuple:
-        s = 0.0
-        for n in t.nodes.values():
-            if n.relation is not None:
-                stream = cq.relation(n.relation).stream
-                s += t.depth_relations(n.name) * w.get(stream, 1.0)
+        s = sum(t.depth_relations(n.name) for n in t.nodes.values() if n.relation is not None)
         return (s, t.height, len(t.nodes), repr(t.signature()))
 
-    return min(trees, key=cost)
+    return min(free_connex_trees(cq), key=cost)
+
+
+def checked_tree(cq: CQ, tree: JoinTree | None = None) -> JoinTree:
+    """``tree`` (``best_tree(cq)`` when None), checked to be a
+    free-connex join tree of ``cq``'s relations and output. An engine
+    calls it when it is built, so a bad tree fails there, not inside a
+    Spark task."""
+    tree = tree if tree is not None else best_tree(cq)
+    if (
+        tuple((r.name, r.attrs) for r in tree.cq.relations)
+        != tuple((r.name, r.attrs) for r in cq.relations)
+        or set(tree.cq.output) != set(cq.output)
+    ):
+        raise ValueError("tree was built for a different query/output")
+    if not tree.is_free_connex_tree():
+        raise ValueError("tree is not a valid free-connex join tree")
+    return tree

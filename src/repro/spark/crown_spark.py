@@ -12,57 +12,83 @@ value ``_v``.
 - ``VP``: the counted V_p = π_key V_s: one row per key, ``_v`` = the
   number of V_s tuples that carry it (derivation counting, §4, at batch
   granularity). The node's other attribute columns are null.
-- ``KEYS``: the V_p keys whose count crossed 0 in the last batch that
-  touched the node.
+- ``DELTA``: the V_s delta d of the last batch that changed the node,
+  ``_v`` = its sign.
 
 Maintenance. A batch (one event per tuple) is pushed through the atom
 selections and propagated bottom-up. A node is re-evaluated only on its
 *candidates*: the batch's own tuples and the stored tuples under a
-child's changed key. One union and group-by gives every candidate a
-flag per membership test — in the old R_e, in the old V_s, and how many
-children hold its key in their V_p (formulae (3)/(4)). This candidate
-status is checkpointed; the V_s delta d is its rows whose membership
-flipped. The node's next frame is then derived from it — untouched rows
-are kept, candidates replaced — and a group-by of d moves the V_p
-counts; the keys that cross 0 drive the parent. Every join broadcasts
-its delta-sized side, so no state frame is shuffled and no two views
-are ever joined. The two checkpoints are the only actions per touched
-node; no emptiness test runs.
+child's changed key. What is batch-sized lives on the driver: the
+batch's tuples, each node's d, the V_p keys whose count crossed 0 and
+the tuples that climb to the root. A membership test against such a
+list is a literal predicate compiled on the driver — ``IN`` for one
+column, tuple ``IN`` for several, ``TRUE``/``FALSE`` for none, and a
+NULL matches nothing, as in a join. Only a list longer than
+``LITERAL_KEYS`` (a bulk load) is joined against instead, as a
+broadcast frame.
+
+Per touched node, one collect fetches what the candidates need: the
+stored rows under the literal keys, the children's V_p entries and the
+node's own V_p counts. Where a candidate's key is not among the
+literals (it sits under a child's key that does not cover it), a second
+collect fetches those entries for the candidates the first one found.
+The driver then decides each candidate's old and new membership
+(formulae (3)/(4)) and moves the V_p counts by d; the keys whose count
+crosses 0 drive the parent. The node's next frame is its rows outside
+the literal keys plus the new rows, written on the driver; its
+checkpoint is the node's last action. No state frame is shuffled and no
+two views are ever joined.
 
 Output. ΔQ comes from one seeded Yannakakis pass (top-down joins, Lemma
 5.1/5.3 — output-proportional) over old ∪ new V_s. The tuples of d are
-climbed to the root, where they seed the pass. Each row carries old/new
-derivation weights (``_o``, ``_n``): a row of the new V_s counts (1, 1)
-and a row of d (−sign, 0), so a tuple's weights sum to its old and new
-membership. The joins multiply weights, projections sum them, and an
-output tuple's sign is [Σ _n > 0] − [Σ _o > 0]; only non-zero signs are
-kept. The returned frame is lazy: materializing it is the batch's last
-action.
+climbed to the root on the driver — each node's fetch also brings its
+stored tuples under a child's climbing tuples — and seed the pass. Each
+row carries old/new derivation weights (``_o``, ``_n``): a row of the
+new V_s counts (1, 1) and a row of d (−sign, 0), so a tuple's weights
+sum to its old and new membership. The joins multiply weights,
+projections sum them, and an output tuple's sign is
+[Σ _n > 0] − [Σ _o > 0]; only non-zero signs are kept. The returned
+frame is lazy: materializing it is the batch's last action.
 
 This is the foreachBatch-equivalent of a Structured Streaming job,
 driven synchronously for deterministic tests (DESIGN.md § layering).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
 from functools import reduce
 
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.cq.join_tree import JoinTree, best_tree
+from repro.cq.join_tree import JoinTree, checked_tree
 from repro.cq.query import CQ
-from repro.spark.state import anti, checkpoint, empty_df, selection_filters, semi
+from repro.spark.state import (
+    anti, checkpoint, empty_df, local_frame, selection_filters, semi,
+)
 
 # row kinds of a node frame (column ``_k``)
-ROW, VP, KEYS = 0, 1, 2
+ROW, VP, DELTA = 0, 1, 2
+# tags of a node's fetched rows (column ``_k`` of a fetch); a child's
+# V_p entries carry the child's index
+OWN_ROW, OWN_VP = -1, -2
+# A literal list longer than this is joined against as a broadcast
+# frame. Filtering a 20K-row frame (local[4], median of 5) took, literal
+# vs broadcast: 1 column, 1,000 keys 64 vs 96 ms, 10,000 keys 227 vs
+# 184 ms; 2 columns (tuple IN), 300 keys 90 vs 111 ms, 1,000 keys 158 vs
+# 112 ms, 10,000 keys 1,048 vs 162 ms.
+LITERAL_KEYS = 500
+
+Keys = dict[tuple[str, ...], set[tuple]]  # column tuple -> its literal keys
 
 
 def _union(frames: list[DataFrame]) -> DataFrame:
     return reduce(DataFrame.unionByName, frames)
 
 
-def _quoted(cols: list[str]) -> list[str]:
+def _quoted(cols: Iterable[str]) -> list[str]:
     return [f"`{c}`" for c in cols]
 
 
@@ -72,15 +98,31 @@ def _sum_weights(df: DataFrame) -> DataFrame:
     return df.groupBy(*rest).agg(F.expr("sum(_o) AS _o"), F.expr("sum(_n) AS _n"))
 
 
+def _proj(src: Sequence[str], cols: Sequence[str]) -> Callable[[tuple], tuple]:
+    """Maps a tuple over ``src`` to its values on ``cols``."""
+    idx = [list(src).index(c) for c in cols]
+    return lambda t: tuple(t[i] for i in idx)
+
+
+def _member(cols: Sequence[str], keys: list[tuple]) -> str:
+    """SQL for "the row's ``cols`` are one of ``keys``" (no key holds a
+    NULL). It is never NULL, so its negation keeps NULL rows, as an
+    anti-join does."""
+    if len(cols) == 1:
+        return f"coalesce(`{cols[0]}` IN ({', '.join(f'{k[0]}L' for k in keys)}), false)"
+    lits = ", ".join("(" + ", ".join(f"{v}L" for v in k) + ")" for k in keys)
+    return f"({', '.join(_quoted(cols))}) IN ({lits})"
+
+
 @dataclass
 class _NodeState:
     name: str
     attrs: list[str]
     key: list[str]
     children: list[str]
-    def_children: list[str]
     is_gen: bool
     frame: DataFrame  # checkpointed; see the module docstring
+    keys: set[tuple] = field(default_factory=set)  # V_p keys that crossed 0 last
 
     def kind(self, k: int) -> DataFrame:
         return self.frame.filter(f"_k = {k}")
@@ -91,20 +133,25 @@ class _NodeState:
     def vs(self) -> DataFrame:
         return self.kind(ROW).filter("_v = 1").select(self.attrs)
 
+    def counts(self) -> DataFrame:
+        return self.kind(VP).select(*self.key, "_v")
+
     def vp(self) -> DataFrame:
-        return self.kind(VP).selectExpr(*_quoted(self.key), "_v AS cnt")
+        return self.counts().withColumnRenamed("_v", "cnt")
 
     def changed_keys(self) -> DataFrame:
-        return self.kind(KEYS).select(self.key)
+        """The V_p keys whose count crossed 0 in the last batch that
+        touched the node."""
+        return local_frame(self.frame.sparkSession, list(self.keys), self.key)
 
-    def weighted(self, d: DataFrame | None) -> DataFrame:
+    def weighted(self, with_delta: bool) -> DataFrame:
         """V_s with old/new derivation weights. With this batch's V_s
-        delta ``d``, its rows are added, so that each tuple's weights sum
-        to its old and new membership."""
+        delta, its rows are added, so that each tuple's weights sum to
+        its old and new membership."""
         cols = _quoted(self.attrs)
         out = self.vs().selectExpr(*cols, "1 AS _o", "1 AS _n")
-        if d is not None:
-            out = out.unionByName(d.selectExpr(*cols, "-sign AS _o", "0 AS _n"))
+        if with_delta:
+            out = out.unionByName(self.kind(DELTA).selectExpr(*cols, "-_v AS _o", "0 AS _n"))
         return out
 
     def tagged(self, kind: int, df: DataFrame) -> DataFrame:
@@ -118,8 +165,22 @@ class _NodeState:
         )
 
 
+@dataclass
+class _Change:
+    """A node's batch results, on the driver (tuples in attribute order,
+    keys in key order)."""
+    d: dict[tuple, int]  # V_s delta: tuple -> ±1
+    keys: set[tuple]  # V_p keys whose count crossed 0
+    affected: set[tuple]  # d and the tuples above a child's affected ones
+
+
 class SparkCrown:
-    """Micro-batch CROWN over Spark DataFrames."""
+    """Micro-batch CROWN over Spark DataFrames.
+
+    ``stats`` describes the last batch: for each node it re-evaluated,
+    the number of candidates, of V_s delta tuples and of V_p keys whose
+    count crossed 0.
+    """
 
     def __init__(
         self,
@@ -131,9 +192,7 @@ class SparkCrown:
     ) -> None:
         self.spark = spark
         self.cq = cq
-        self.tree = tree if tree is not None else best_tree(cq)
-        if not self.tree.is_free_connex_tree():
-            raise ValueError("tree is not a valid free-connex join tree")
+        self.tree = checked_tree(cq, tree)
         self.post_filter = post_filter
         # a passed map replaces the filters compiled from ``cq.where``
         self.atom_filters = atom_filters if atom_filters is not None else selection_filters(cq)
@@ -146,7 +205,6 @@ class SparkCrown:
                 attrs=attrs,
                 key=list(self.tree.key(name)),
                 children=list(tn.children),
-                def_children=list(self.tree.defining_children(name)),
                 is_gen=tn.is_generalized,
                 frame=empty_df(spark, attrs + ["_k", "_v"]),
             )
@@ -154,6 +212,7 @@ class SparkCrown:
         # checkpoint keeps its partition count from growing per batch
         self.partitions = spark.sparkContext.defaultParallelism
         self.batches = 0
+        self.stats: dict[str, dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     def process_batch(
@@ -165,155 +224,196 @@ class SparkCrown:
         the stream's value columns, already compacted: one event per
         tuple, the last one in the batch.
         """
-        deltas: dict[str, DataFrame] = {}  # V_s delta of each touched node
+        self.stats = {}
+        done: dict[str, _Change] = {}  # nodes with affected tuples
         for name in self.tree.postorder():
-            node = self.nodes[name]
-            rel_delta = self._rel_delta(name, stream_deltas)
-            changed = [self.nodes[c] for c in node.children if c in deltas]
-            if rel_delta is None and not changed:
+            batch = self._batch(name, stream_deltas)
+            kids = {c: done[c] for c in self.nodes[name].children if c in done}
+            if not batch and not kids:
                 continue
-            rows = node.rows()
-            status = checkpoint(self._status(node, rows, rel_delta, changed))
-            d = status.filter("_n != _o").selectExpr(*_quoted(node.attrs), "_n - _o AS sign")
-            frame = self._next_frame(node, rows, status, d)
-            node.frame = checkpoint(frame.coalesce(self.partitions))
-            deltas[name] = d
+            change = self._maintain(self.nodes[name], batch, kids)
+            if change.affected:
+                done[name] = change
         self.batches += 1
-        if not deltas:
+        if self.tree.root not in done:
             return empty_df(self.spark, list(self.cq.output) + ["sign"])
-        return self._output_delta(deltas)
+        return self._output_delta(done)
 
-    def _rel_delta(
-        self, name: str, stream_deltas: dict[str, DataFrame]
-    ) -> DataFrame | None:
-        """The batch's (sign, attrs…) rows for a relation node, after
-        the atom's selection; None if the batch does not feed it."""
+    def _batch(self, name: str, stream_deltas: dict[str, DataFrame]) -> dict[tuple, int]:
+        """The batch's tuples of a relation node, after the atom's
+        selection, with their signs. A batch built from local data (a
+        ``LocalRelation``) is filtered and collected without a Spark job."""
         tn = self.tree.node(name)
         if tn.relation is None:
-            return None
+            return {}
         atom = self.cq.relation(tn.relation)
         sd = stream_deltas.get(atom.stream)
         if sd is None:
-            return None
+            return {}
         out = sd.toDF("sign", *self.nodes[name].attrs)
         flt = self.atom_filters.get(atom.name)
-        return out.filter(flt) if flt is not None else out
+        if flt is not None:
+            out = out.filter(flt)
+        return {tuple(r[1:]): r[0] for r in out.collect()}
 
-    def _under(self, node: _NodeState, rows: DataFrame, child: _NodeState) -> DataFrame:
-        """The node's tuples whose key to ``child`` changed this batch."""
-        keys = child.changed_keys()
-        if not node.is_gen:
-            return semi(rows, keys, child.key)
-        if child.name in node.def_children:
-            return keys
-        # R_e of a generalized node: its defining children's (new) V_p keys
-        return _union([
-            semi(self.nodes[d].vp(), keys, child.key) for d in node.def_children
-        ])
+    def _filter(self, df: DataFrame, cols: Sequence[str], keys: Iterable[tuple],
+                keep: bool) -> DataFrame:
+        """The rows of ``df`` whose ``cols`` are (``keep``) or are not
+        among the driver-side ``keys``; a NULL matches nothing."""
+        keys = [k for k in keys if None not in k]
+        if not cols or not keys:
+            return df if bool(keys) == keep else df.filter("false")
+        if len(keys) > LITERAL_KEYS:
+            small = local_frame(self.spark, keys, list(cols))
+            return (semi if keep else anti)(df, small, list(cols))
+        pred = _member(cols, keys)
+        return df.filter(pred if keep else f"NOT {pred}")
 
-    def _status(
-        self,
-        node: _NodeState,
-        rows: DataFrame,
-        rel_delta: DataFrame | None,
-        changed: list[_NodeState],
-    ) -> DataFrame:
-        """Each candidate's membership, old and new: (attrs…, in_rel,
-        _o = in the old V_s, _n = in the new V_s)."""
-        attrs = node.attrs
-        cols = _quoted(attrs)
-        cand = [self._under(node, rows, c).selectExpr(*cols, "0 AS _i") for c in changed]
-        if rel_delta is not None:
-            cand.append(rel_delta.selectExpr(*cols, "sign AS _i"))
-        cand = _union(cand)
-        # one row per test a candidate passes: _i = its event's sign,
-        # _r / _w = in the old R_e / V_s, _s = a child's V_p holds its key
-        tests = [
-            cand.selectExpr(*cols, "_i", "0 AS _r", "0 AS _w", "0 AS _s"),
-            semi(rows, cand, attrs).selectExpr(*cols, "0 AS _i", "1 AS _r", "_v AS _w", "0 AS _s"),
-        ]
-        later = []
-        for c in node.children:
-            child = self.nodes[c]
-            if set(child.key) == set(attrs):
-                tests.append(semi(child.vp(), cand, attrs).selectExpr(
-                    *cols, "0 AS _i", "0 AS _r", "0 AS _w", "1 AS _s"
-                ))
+    def _fetch(self, node: _NodeState, pieces: list[tuple[int, DataFrame]]
+               ) -> dict[int, dict[tuple, int]]:
+        """One action for ``pieces`` (tag, frame of some of the node's
+        attribute columns and ``_v``): per tag, each row (null-padded to
+        the node's attributes) and its ``_v``."""
+        out: dict[int, dict[tuple, int]] = defaultdict(dict)
+        if pieces:
+            n = len(node.attrs)
+            for r in _union([node.tagged(tag, df) for tag, df in pieces]).collect():
+                out[r[n]][tuple(r[:n])] = r[n + 1]
+        return out
+
+    def _maintain(self, node: _NodeState, batch: dict[tuple, int],
+                  kids: dict[str, _Change]) -> _Change:
+        """Re-evaluate ``node`` on its candidates, write its next frame,
+        and return its delta, crossed keys and affected tuples."""
+        attrs, full, root = node.attrs, set(node.attrs), node.name == self.tree.root
+        children = [self.nodes[c] for c in node.children]
+        # the candidates: the tuples under some literal keys, per column
+        # tuple (a NULL matches nothing)
+        cand_keys: Keys = defaultdict(set)
+        if batch:
+            cand_keys[tuple(attrs)] |= set(batch)
+        for c in children:
+            if c.name in kids:
+                cand_keys[tuple(c.key)] |= kids[c.name].keys
+        cand_keys = {cols: {k for k in ks if None not in k} for cols, ks in cand_keys.items()}
+        # stored rows are also fetched under a child's affected tuples,
+        # to climb them
+        row_keys: Keys = defaultdict(set, {cols: set(ks) for cols, ks in cand_keys.items()})
+        for c in children:
+            if c.name in kids and set(c.key) != full:
+                up = _proj(c.attrs, c.key)
+                row_keys[tuple(c.key)] |= {up(t) for t in kids[c.name].affected}
+
+        # the V_p entries the candidates need: each child's, and the
+        # node's own counts but at the root
+        frames = {i: (c.counts(), c.key) for i, c in enumerate(children)}
+        if not root:
+            frames[OWN_VP] = (node.counts(), node.key)
+        pieces = [(OWN_ROW, self._filter(node.rows(), cols, ks, True))
+                  for cols, ks in row_keys.items()]
+        late = []
+        for tag, (df, key) in frames.items() if cand_keys else ():
+            if set(key) == full:
+                pieces += [(tag, self._filter(df, cols, ks, True))
+                           for cols, ks in cand_keys.items()]
+            elif all(set(key) <= set(cols) for cols in cand_keys):
+                lit = {_proj(cols, key)(k) for cols, ks in cand_keys.items() for k in ks}
+                pieces.append((tag, self._filter(df, key, lit, True)))
             else:
-                later.append(child)
-        flags = _union(tests).groupBy(*attrs).agg(
-            F.expr("sum(_i) AS _i"), F.expr("max(_r) AS _r"), F.expr("max(_w) AS _w"),
-            F.expr("sum(_s) AS _s"),
-        )
-        # a child keyed on fewer attributes is probed with the
-        # candidates' keys, and its hits are joined back
-        for child in later:
-            hits = semi(child.vp(), cand, child.key).selectExpr(*_quoted(child.key), "1 AS _h")
-            flags = flags.join(F.broadcast(hits), child.key or None, "left").selectExpr(
-                *cols, "_i", "_r", "_w", "_s + coalesce(_h, 0) AS _s"
-            )
-        alive = f"_s = {len(node.children)}"
-        if node.is_gen:
-            # all children hold the key, so a defining child does: in R_e
-            in_rel = alive
-        else:
-            in_rel = "(_i > 0 OR (_i = 0 AND _r = 1))"
-            alive = f"{in_rel} AND {alive}"
-        return flags.selectExpr(
-            *cols, f"{in_rel} AS in_rel", f"CAST({alive} AS BIGINT) AS _n", "CAST(_w AS BIGINT) AS _o"
-        )
+                late.append(tag)
+        got = self._fetch(node, pieces)
 
-    def _next_frame(
-        self, node: _NodeState, rows: DataFrame, status: DataFrame, d: DataFrame
-    ) -> DataFrame:
-        """The node's stored rows with the candidates' new membership, and
-        for a non-root node its counted V_p moved by the V_s delta ``d``."""
-        cols = _quoted(node.attrs)
-        parts = [
-            node.tagged(ROW, anti(rows, status, node.attrs)),
-            node.tagged(ROW, status.filter("in_rel").selectExpr(*cols, "_n AS _v")),
-        ]
-        if node.name == self.tree.root:
-            return _union(parts)
-        key = node.key
-        old = node.vp()
-        counts = _union([
-            d.selectExpr(*_quoted(key), "sign AS _d", "0 AS cnt"),
-            semi(old, d, key).selectExpr(*_quoted(key), "0 AS _d", "cnt"),
-        ]).groupBy(*key).agg(F.expr("sum(cnt) AS was"), F.expr("sum(cnt) + sum(_d) AS _v"))
-        return _union(parts + [
-            node.tagged(VP, anti(old, d, key).withColumnRenamed("cnt", "_v")),
-            node.tagged(VP, counts.filter("_v > 0")),
-            node.tagged(KEYS, counts.filter("(was > 0) != (_v > 0)")),
-        ])
+        stored = got[OWN_ROW]
+        tests = [(_proj(attrs, cols), ks) for cols, ks in cand_keys.items()]
+        was = {t: v for t, v in stored.items() if any(p(t) in ks for p, ks in tests)}
+        cands = set(batch) | set(was)
+        if node.is_gen:
+            # R_e is virtual: the defining children's V_p tuples
+            cands |= {t for i, c in enumerate(children) if set(c.key) == full for t in got[i]}
+        if late and cands:
+            pieces = []
+            for tag in late:
+                df, key = frames[tag]
+                lit = set(map(_proj(attrs, key), cands))
+                pieces.append((tag, self._filter(df, key, lit, True)))
+            got.update(self._fetch(node, pieces))
+        projs = [_proj(attrs, c.key) for c in children]
+        held = [(p, set(map(p, got[i]))) for i, p in enumerate(projs)]
+
+        # formulae (3)/(4): in the new V_s iff in R_e and every child's
+        # V_p holds the tuple's key
+        d, new_rows = {}, {}
+        for t in cands:
+            alive = all(p(t) in hit for p, hit in held)
+            sign = batch.get(t, 0)
+            in_rel = alive if node.is_gen else sign > 0 or (sign == 0 and t in was)
+            new, old = int(in_rel and alive), was.get(t, 0)
+            if in_rel:
+                new_rows[t] = new
+            if new != old:
+                d[t] = new - old
+
+        keys: set[tuple] = set()
+        counts: dict[tuple, int] = {}
+        if d and not root:
+            to_key = _proj(attrs, node.key)
+            before = {to_key(t): v for t, v in got[OWN_VP].items()}
+            moved = Counter()
+            for t, s in d.items():
+                moved[to_key(t)] += s
+            for k, m in moved.items():
+                counts[k] = before.get(k, 0) + m
+                if (before.get(k, 0) > 0) != (counts[k] > 0):
+                    keys.add(k)
+        if d or any(new_rows.get(t) != was.get(t) for t in cands):
+            self._write(node, cand_keys, new_rows, counts, d)
+        node.keys = keys
+        self.stats[node.name] = {"candidates": len(cands), "delta": len(d),
+                                 "changed_keys": len(keys)}
+
+        affected = set(d)
+        for c in children:
+            if c.name not in kids:
+                continue
+            if set(c.key) == full:
+                down = _proj(c.attrs, attrs)
+                affected |= {down(t) for t in kids[c.name].affected}
+            else:
+                up, ks = _proj(attrs, c.key), row_keys[tuple(c.key)]
+                affected |= {t for t, v in stored.items() if v == 1 and up(t) in ks}
+        return _Change(d, keys, affected)
+
+    def _write(self, node: _NodeState, cand_keys: Keys, new_rows: dict[tuple, int],
+               counts: dict[tuple, int], d: dict[tuple, int]) -> None:
+        """Checkpoint the node's next frame: its rows outside the
+        candidates' keys and its V_p outside the moved keys, then the
+        candidates' new rows, the moved counts and d, from the driver."""
+        kept = node.kind(ROW)
+        for cols, ks in cand_keys.items():
+            kept = self._filter(kept, cols, ks, False)
+        parts = [kept]
+        pad = [None] * (len(node.attrs) - len(node.key))
+        lit = [(*t, ROW, v) for t, v in new_rows.items()] + [(*t, DELTA, s) for t, s in d.items()]
+        if counts:
+            parts.append(self._filter(node.kind(VP), node.key, counts, False))
+            order = node.key + [a for a in node.attrs if a not in node.key]
+            to_attrs = _proj(order, node.attrs)
+            lit += [(*to_attrs(k + tuple(pad)), VP, n) for k, n in counts.items() if n > 0]
+        elif node.name != self.tree.root:
+            parts.append(node.kind(VP))
+        if lit:
+            parts.append(local_frame(self.spark, lit, node.attrs + ["_k", "_v"]))
+        node.frame = checkpoint(_union(parts).coalesce(self.partitions))
 
     # ------------------------------------------------------------------
-    def _output_delta(self, deltas: dict[str, DataFrame]) -> DataFrame:
+    def _output_delta(self, done: dict[str, _Change]) -> DataFrame:
         """ΔQ of the batch: the weighted enumeration seeded at the root
-        tuples above a changed V_s tuple."""
-        u = {name: node.weighted(deltas.get(name)) for name, node in self.nodes.items()}
-        # touched nodes are closed upwards (a touched child touches its
-        # parent), so the climb reaches the root. A superset of the
-        # affected tuples is safe: unchanged outputs get sign 0.
-        affected: dict[str, DataFrame] = {}
-        for name in self.tree.postorder():
-            if name not in deltas:
-                continue
-            node = self.nodes[name]
-            up = [deltas[name].select(node.attrs)]
-            by_key: dict[tuple[str, ...], list[DataFrame]] = {}
-            for c in node.children:
-                if c in affected:
-                    key = tuple(self.nodes[c].key)
-                    by_key.setdefault(key, []).append(affected[c].select(*key))
-            for key, keys in by_key.items():
-                if set(key) == set(node.attrs):
-                    up.append(_union(keys))
-                else:
-                    up.append(semi(u[name].select(node.attrs), _union(keys), list(key)))
-            affected[name] = _union(up)
+        tuples above a changed V_s tuple. A superset of the affected
+        tuples is safe: unchanged outputs get sign 0."""
+        u = {name: node.weighted(name in done and bool(done[name].d))
+             for name, node in self.nodes.items()}
         root = self.tree.root
-        seeded = semi(u[root], affected[root], self.nodes[root].attrs)
+        seeded = self._filter(u[root], self.nodes[root].attrs, done[root].affected, True)
         out = self._enumerate(u, seeded, delta=True).selectExpr(
             *_quoted(self.cq.output), "CAST(_n > 0 AS BIGINT) - CAST(_o > 0 AS BIGINT) AS sign"
         ).filter("sign != 0")
@@ -350,7 +450,7 @@ class SparkCrown:
         return need
 
     def full_result(self) -> DataFrame:
-        u = {name: node.weighted(None) for name, node in self.nodes.items()}
+        u = {name: node.weighted(False) for name, node in self.nodes.items()}
         out = self._enumerate(u, u[self.tree.root], delta=False).select(*self.cq.output)
         if self.post_filter is not None:
             out = out.filter(self.post_filter)
@@ -358,5 +458,5 @@ class SparkCrown:
 
     def state_rows(self) -> int:
         """Every stored row — R_e (V_s is a flag on it), the counted V_p
-        and the last changed keys — which stays linear in |D| (Lemma 4.1)."""
+        and the last V_s delta — which stays linear in |D| (Lemma 4.1)."""
         return sum(s.frame.count() for s in self.nodes.values())

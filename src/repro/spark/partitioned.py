@@ -24,7 +24,7 @@ import zlib
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.cq.join_tree import JoinTree, best_tree
+from repro.cq.join_tree import JoinTree, checked_tree
 from repro.cq.query import CQ
 
 
@@ -70,7 +70,7 @@ class PartitionedCrown:
         self.spark = spark
         self.cq = cq
         self.p = p
-        self.tree = tree if tree is not None else best_tree(cq)
+        self.tree = checked_tree(cq, tree)
 
     def run_stream(
         self, updates: pd.DataFrame, collect_deltas: bool = False

@@ -8,6 +8,7 @@ Streaming state-store equivalent for a synchronous driver loop).
 """
 from __future__ import annotations
 
+import pyarrow as pa
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -26,6 +27,19 @@ def empty_df(spark: SparkSession, cols: list[str]) -> DataFrame:
     """
     schema = ", ".join(f"`{c}` long" for c in cols)
     return spark.createDataFrame(spark.sparkContext.emptyRDD(), schema)
+
+
+def local_frame(spark: SparkSession, rows: list[tuple], cols: list[str]) -> DataFrame:
+    """Long-typed frame of driver-side ``rows`` (None is NULL).
+
+    It goes in through Arrow as a ``LocalRelation``, which needs no job
+    and no Python worker to read. The same rows parallelized from a
+    Python list made a 5K-row checkpoint that included them take ~650 ms
+    instead of ~150 ms (local[4]).
+    """
+    columns = list(zip(*rows)) if rows else [()] * len(cols)
+    arrays = [pa.array(c, pa.int64()) for c in columns]
+    return spark.createDataFrame(pa.Table.from_arrays(arrays, names=list(cols)))
 
 
 def checkpoint(df: DataFrame) -> DataFrame:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import uuid
 
 import pytest
 
@@ -110,9 +111,11 @@ def check_full_result(eng) -> set:
 
 def jobs_of(spark, fn):
     """``fn()`` with the number of Spark jobs and stages it ran, read from
-    the status tracker under a job group of its own."""
+    the status tracker under a job group of its own. The group name is
+    fresh per call: one built from ``id(fn)`` is reused once ``fn`` is
+    freed, and the status tracker would add the earlier call's jobs."""
     ctx = spark.sparkContext
-    group = f"jobs-of-{id(fn)}"
+    group = f"jobs-of-{uuid.uuid4().hex}"
     ctx.setJobGroup(group, group)
     try:
         out = fn()

@@ -7,11 +7,15 @@ from repro.bench.queries import (
     comb2,
     dumbbell_full,
     hop3_full,
+    hop3_proj,
     hop4_proj,
     snb_q2,
     star,
 )
+from repro.core.engine import CrownEngine
 from repro.cq.join_tree import (
+    JoinTree,
+    TreeNode,
     best_tree,
     free_connex_trees,
     is_acyclic,
@@ -165,10 +169,11 @@ class TestTreeConstruction:
 
 class TestPlanOptimization:
     def test_best_tree_weights_shift_depth(self):
-        # §6.3: relations with more updates should sit higher; with all
-        # weight on G1, the chosen tree puts G1 at depth 0 or 1
+        # §6.3: the pick minimizes Σ d(e)·N(e). hop3_full's three atoms
+        # read one stream, so every N(e) is the same and the pick is the
+        # tree of least total depth
         cq = hop3_full().cq
-        t = best_tree(cq, {"G": 1.0})
+        t = best_tree(cq)
         cost_any = sum(
             t.depth_relations(t.relation_node(r.name)) for r in cq.relations
         )
@@ -181,3 +186,34 @@ class TestPlanOptimization:
 
     def test_heuristic_prefers_low_height(self):
         assert best_tree(star().cq).height == 1
+
+
+def test_engines_reject_bad_trees_when_built(spark):
+    """A tree that is not free-connex for the query, or that belongs to
+    another query, fails in each engine's constructor; ``best_tree``
+    rejects a cyclic query."""
+    from repro.spark.crown_spark import SparkCrown
+    from repro.spark.partitioned import PartitionedCrown
+
+    cq = hop3_proj().cq  # y = (B, C): a root of (A, B) is not ⊆ y
+    chain = JoinTree(cq, {
+        "G1": TreeNode("G1", ("A", "B"), "G1", None, ("G2",)),
+        "G2": TreeNode("G2", ("B", "C"), "G2", "G1", ("G3",)),
+        "G3": TreeNode("G3", ("C", "D"), "G3", "G2"),
+    }, "G1")
+    assert chain.is_valid() and not chain.is_free_connex_tree()
+    other = best_tree(hop3_full().cq)
+    for tree in (chain, other):
+        for build in (
+            lambda: CrownEngine(cq, tree),
+            lambda: SparkCrown(spark, cq, tree),
+            lambda: PartitionedCrown(spark, cq, p=2, tree=tree),
+        ):
+            with pytest.raises(ValueError):
+                build()
+    tri = CQ(
+        (Relation("A", ("x", "y")), Relation("B", ("y", "z")), Relation("C", ("z", "x"))),
+        output=("x", "y", "z"),
+    )
+    with pytest.raises(ValueError):
+        best_tree(tri)

@@ -9,6 +9,7 @@ from repro.bench.queries import hop3_full, hop3_proj, star
 from repro.core.engine import CrownEngine
 from repro.cq.join_tree import best_tree, free_connex_trees
 from repro.oracle import assert_equivalent
+from repro.spark import crown_spark
 from repro.spark.crown_spark import SparkCrown
 from repro.spark.state import anti, semi
 from repro.streams.sequences import Update
@@ -138,6 +139,30 @@ def test_counted_vp_edge_cases(spark):
     _check_full_result(sc, core)
 
 
+def test_stats_count_crossed_keys(spark):
+    """``stats`` reads the last batch's per-node counts off the driver:
+    a V_p count that moves but does not cross 0 changes no key."""
+    cq = hop3_proj().cq
+    sc = SparkCrown(spark, cq)
+    core = CrownEngine(cq, sc.tree)
+    batches = [
+        [(1, 1, 2), (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 5)],
+        [(-1, 2, 3)],  # B = 2: 2 -> 1
+        [(1, 2, 3)],  # B = 2: 1 -> 2
+        # B = 2: 2 -> 0; and G3 loses C = 2, so G2's (1, 2) leaves V_s
+        # and B = 1 goes 1 -> 0
+        [(-1, 2, 3), (-1, 2, 4)],
+    ]
+    seen = []
+    for batch in batches:
+        _check_batch(spark, sc, core, batch)
+        seen.append(sc.stats["G2"])
+        assert seen[-1]["changed_keys"] == sc.nodes["G2"].changed_keys().count()
+    assert [s["changed_keys"] for s in seen[1:]] == [0, 0, 2]
+    assert [s["delta"] for s in seen[1:]] == [1, 1, 3]
+    assert all(s["candidates"] >= s["delta"] for s in seen)
+
+
 TWO_GENERALIZED = [
     t for t in free_connex_trees(hop3_proj().cq)
     if sum(n.is_generalized for n in t.nodes.values()) == 2
@@ -169,9 +194,12 @@ def test_empty_key_semi_anti_are_lazy(spark):
     assert [p.count() for p in plans] == [3, 0, 0, 3]
 
 
-# A warm hop3_full batch runs about 36 Spark jobs; per-node full-state
-# work (re-deriving V_p, diffing two enumerations) ran 100-126.
-WARM_BATCH_JOBS = 60
+# A warm hop3_full batch runs about 14 Spark jobs: per touched node one
+# or two collects and one checkpoint, then the seeded enumeration. With
+# a broadcast semi-join per membership test it ran 36, and with
+# per-node full-state work (re-deriving V_p, diffing two enumerations)
+# 100-126.
+WARM_BATCH_JOBS = 20
 
 
 def test_warm_batch_job_budget(spark):
@@ -184,3 +212,27 @@ def test_warm_batch_job_budget(spark):
     sc.process_batch({"G": cold}).collect()
     _, jobs, _ = jobs_of(spark, lambda: sc.process_batch({"G": warm}).collect())
     assert 0 < jobs <= WARM_BATCH_JOBS
+
+
+@pytest.mark.parametrize("factory", [hop3_full, hop3_proj, star], ids=lambda f: f.__name__)
+def test_broadcast_fallback_matches_core_engine(spark, monkeypatch, factory):
+    """With the literal-list limit at 0, every membership test takes the
+    broadcast semi/anti-join path; the deltas stay the same."""
+    joins = []
+
+    def spy(fn):
+        def call(*args, **kw):
+            joins.append(fn.__name__)
+            return fn(*args, **kw)
+        return call
+
+    monkeypatch.setattr(crown_spark, "LITERAL_KEYS", 0)
+    monkeypatch.setattr(crown_spark, "semi", spy(semi))
+    monkeypatch.setattr(crown_spark, "anti", spy(anti))
+    cq = factory().cq
+    sc = SparkCrown(spark, cq, best_tree(cq))
+    core = CrownEngine(cq, sc.tree)
+    for batch in batched_graph_events(seed=hash(cq.name) % 100):
+        _check_batch(spark, sc, core, batch)
+    _check_full_result(sc, core)
+    assert {"semi", "anti"} <= set(joins)
