@@ -6,10 +6,14 @@ import os
 import sys
 
 # allow running as `python jobs/figX.py` from the repo root without install
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC)
 
 
 def get_spark(app: str):
+    # Spark's Python workers do not inherit sys.path
+    path = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = SRC + (os.pathsep + path if path else "")
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         "--master local[*] --conf spark.driver.host=127.0.0.1 "

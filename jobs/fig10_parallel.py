@@ -44,11 +44,11 @@ def main() -> None:
     nb = 300 if args.quick else 1000
     chunk = updates.head(nb)
     batches = [chunk.iloc[i::4] for i in range(4)]
-    for name, mk in (
-        ("spark_cp(flink)", lambda: SparkStandardCP(spark, bq.cq)),
-        ("spark_hivm(dbtoaster)", lambda: SparkFirstOrderHIVM(spark, bq.cq)),
+    for name, engine in (
+        ("spark_cp(flink)", SparkStandardCP),
+        ("spark_hivm(dbtoaster)", SparkFirstOrderHIVM),
     ):
-        eng = mk()
+        eng = engine(spark, bq.cq)
         t0 = time.perf_counter()
         deltas = 0
         for b in batches:

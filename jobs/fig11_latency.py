@@ -1,10 +1,8 @@
 """Fig. 11 — per-update delta latency: CROWN vs Trill proxy."""
 import _common as common
 
-from repro.bench.harness import graph_stream, print_table, run_engine
+from repro.bench.harness import graph_stream, make_engine, print_table, run_engine
 from repro.bench.queries import hop3_full
-from repro.core.baseline_cp import StandardCPEngine
-from repro.core.engine import CrownEngine
 
 
 def main() -> None:
@@ -21,13 +19,9 @@ def main() -> None:
     )
     rows = []
     for mode, seq in modes:
-        for name, mk in (
-            ("crown", lambda: CrownEngine(bq.cq)),
-            ("trill_delta", lambda: StandardCPEngine(bq.cq, delta_only=True)),
-        ):
+        for name in ("crown", "trill_delta"):
             res = run_engine(
-                mk(), seq, name, "3hop_full", record_latency=True,
-                time_limit_s=args.time_limit,
+                make_engine(name, bq), seq, record_latency=True, time_limit_s=args.time_limit
             )
             lat = res.latencies
             q = len(lat) // 4

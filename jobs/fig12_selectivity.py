@@ -2,11 +2,10 @@
 4-Hop join-project)."""
 import _common as common
 
-from repro.bench.harness import graph_stream, print_table, run_engine
+from repro.bench.harness import graph_stream, make_engine, print_table, run_engine
 from repro.bench.queries import hop3_full, hop4_proj, keep_pct
-from repro.core.baseline_cp import StandardCPEngine
-from repro.core.engine import CrownEngine
-from repro.core.hivm import FirstOrderHIVMEngine
+
+ENGINES = ["crown", "flink_cp", "dbtoaster_hivm"]
 
 
 def main() -> None:
@@ -19,26 +18,18 @@ def main() -> None:
         qname = base.cq.name
         rows = []
         for pct in pcts:
-            cq = keep_pct(base, pct)
+            bq = keep_pct(base, pct)
             row = {"keep_pct": pct}
-            for name, mk in (
-                ("crown", lambda cq=cq: CrownEngine(cq)),
-                ("flink_cp", lambda cq=cq: StandardCPEngine(cq)),
-                ("dbtoaster_hivm", lambda cq=cq: FirstOrderHIVMEngine(cq)),
-            ):
-                res = run_engine(mk(), seq, name, cq.name, time_limit_s=args.time_limit)
-                row[name] = (
-                    f"FAIL({res.failed.split(':')[0]})"
-                    if res.failed
-                    else f"{res.seconds:.2f}s"
-                )
+            for name in ENGINES:
+                res = run_engine(make_engine(name, bq), seq, time_limit_s=args.time_limit)
+                row[name] = res.cell()
                 if name == "crown":
                     row["deltas"] = res.deltas
             rows.append(row)
         print_table(
             f"Fig. 12: {qname} runtime vs filter selectivity (sf={sf}, w={window})",
             rows,
-            ["keep_pct", "deltas", "crown", "flink_cp", "dbtoaster_hivm"],
+            ["keep_pct", "deltas", *ENGINES],
         )
 
 

@@ -8,30 +8,13 @@ paper's missing bars).
 """
 import _common as common
 
-from repro.bench.harness import graph_stream, print_table, run_engine, snb_stream
+from repro.bench.harness import (
+    ENGINES, graph_stream, make_engine, print_table, run_engine, snb_stream, vertex_rows,
+)
 from repro.bench.queries import GRAPH_QUERIES, SNB_QUERIES, dumbbell_full, dumbbell_proj
-from repro.core.baseline_cp import StandardCPEngine
-from repro.core.engine import CrownEngine
-from repro.core.hivm import FirstOrderHIVMEngine
-from repro.cq.ghd import dumbbell_ghd
-
-ENGINES = ["crown", "flink_cp", "dbtoaster_hivm", "trill_delta"]
-
-
-def make_engine(name, bq, max_rows):
-    if name == "crown":
-        if bq.cyclic:
-            return dumbbell_ghd(bq.cq, post_filter=bq.post_filter)
-        return CrownEngine(bq.cq, post_filter=bq.post_filter)
-    if name == "flink_cp":
-        return StandardCPEngine(bq.cq, post_filter=bq.post_filter, max_view_rows=max_rows)
-    if name == "dbtoaster_hivm":
-        return FirstOrderHIVMEngine(bq.cq, post_filter=bq.post_filter, max_view_rows=max_rows)
-    if name == "trill_delta":
-        return StandardCPEngine(
-            bq.cq, post_filter=bq.post_filter, delta_only=True, max_view_rows=max_rows
-        )
-    raise KeyError(name)
+from repro.core.aggregates import DistinctCountAggregator
+from repro.streams.sequences import Update
+from repro.synth_data import graph_edges_pdf
 
 
 def main() -> None:
@@ -59,49 +42,34 @@ def main() -> None:
             seq = graph_stream(sf=sf, window=window)
         row = {"query": qname, "updates": len(seq)}
         for ename in ENGINES:
-            if bq.cyclic and ename != "crown":
-                # baselines run the flat 7-way plan; cap them tighter
-                eng = make_engine(ename, bq, 2_000_000)
-            else:
-                eng = make_engine(ename, bq, max_rows)
+            # on a cyclic query the baselines run the flat 7-way plan;
+            # cap them tighter
+            eng = make_engine(ename, bq, 2_000_000 if bq.cyclic else max_rows)
             if qname == "2comb":
                 # unary endpoint relations preloaded (all vertices)
-                from repro.bench.harness import vertex_rows
-                from repro.streams.sequences import Update
-                from repro.synth_data import graph_edges_pdf
-
                 for _, (v,) in vertex_rows(graph_edges_pdf(sf=sf)):
                     eng.apply(Update("V1", (v,), True))
                     eng.apply(Update("V2", (v,), True))
-            res = run_engine(eng, seq, ename, qname, time_limit_s=args.time_limit)
-            row[ename] = (
-                f"FAIL({res.failed.split(':')[0]})" if res.failed else f"{res.seconds:.2f}s"
-            )
-            if not res.failed:
-                row[f"{ename}_deltas"] = res.deltas
+            res = run_engine(eng, seq, time_limit_s=args.time_limit)
+            row[ename] = res.cell()
         rows.append(row)
     for qname, factory in ({} if only else SNB_QUERIES).items():
         bq = factory()
         seq = snb_stream(sf=snb_sf, window_days=90)
         row = {"query": qname, "updates": len(seq)}
-        consumer = None
         for ename in ENGINES:
             eng = make_engine(ename, bq, max_rows)
-            if qname == "snb_q4" and ename == "crown":
-                from repro.core.aggregates import DistinctCountAggregator
-
-                consumer = DistinctCountAggregator(bq.cq, ("tname", "t"), "m")
-            res = run_engine(
-                eng, seq, ename, qname, time_limit_s=args.time_limit, consumer=consumer
+            # Q4's COUNT(DISTINCT), folded from each engine's own deltas
+            consumer = (
+                DistinctCountAggregator(bq.cq, ("tname", "t"), "m") if qname == "snb_q4" else None
             )
-            row[ename] = (
-                f"FAIL({res.failed.split(':')[0]})" if res.failed else f"{res.seconds:.2f}s"
-            )
+            res = run_engine(eng, seq, time_limit_s=args.time_limit, consumer=consumer)
+            row[ename] = res.cell()
         rows.append(row)
     print_table(
         f"Fig. 7: total processing time (graph sf={sf}, w={window}; snb sf={snb_sf})",
         rows,
-        ["query", "updates"] + ENGINES,
+        ["query", "updates", *ENGINES],
     )
 
 

@@ -1,11 +1,10 @@
 """Fig. 8 — average per-update processing time vs SNB scale factor."""
 import _common as common
 
-from repro.bench.harness import print_table, run_engine, snb_stream
+from repro.bench.harness import make_engine, print_table, run_engine, snb_stream
 from repro.bench.queries import snb_q1
-from repro.core.baseline_cp import StandardCPEngine
-from repro.core.engine import CrownEngine
-from repro.core.hivm import FirstOrderHIVMEngine
+
+ENGINES = ["crown", "flink_cp", "dbtoaster_hivm"]
 
 
 def main() -> None:
@@ -16,22 +15,14 @@ def main() -> None:
     for sf in sfs:
         seq = snb_stream(sf=sf, window_days=90)
         row = {"sf": sf, "updates": len(seq)}
-        for name, mk in (
-            ("crown", lambda: CrownEngine(bq.cq)),
-            ("flink_cp", lambda: StandardCPEngine(bq.cq)),
-            ("dbtoaster_hivm", lambda: FirstOrderHIVMEngine(bq.cq)),
-        ):
-            res = run_engine(mk(), seq, name, f"snb_q1@{sf}", time_limit_s=args.time_limit)
-            row[name] = (
-                f"FAIL({res.failed.split(':')[0]})"
-                if res.failed
-                else f"{res.avg_update_us:.1f}us"
-            )
+        for name in ENGINES:
+            res = run_engine(make_engine(name, bq), seq, time_limit_s=args.time_limit)
+            row[name] = res.cell(per_update=True)
         rows.append(row)
     print_table(
         "Fig. 8: avg processing time per update vs scale factor (SNB Q1)",
         rows,
-        ["sf", "updates", "crown", "flink_cp", "dbtoaster_hivm"],
+        ["sf", "updates", *ENGINES],
     )
 
 

@@ -1,21 +1,13 @@
 """Table 1 — query-processing engine feature matrix (regenerated)."""
 import _common  # noqa: F401  (sys.path setup)
 
-from repro.bench.harness import print_table
+from repro.bench.harness import ENGINES, make_engine, print_table
 from repro.bench.queries import hop4_proj
-from repro.core.baseline_cp import StandardCPEngine
-from repro.core.engine import CrownEngine
-from repro.core.hivm import FirstOrderHIVMEngine
 
 
 def main() -> None:
     bq = hop4_proj()
-    rows = [
-        CrownEngine.capabilities(),
-        StandardCPEngine(bq.cq).capabilities(),
-        FirstOrderHIVMEngine(bq.cq).capabilities(),
-        StandardCPEngine(bq.cq, delta_only=True).capabilities(),
-    ]
+    rows = [make_engine(name, bq).capabilities() for name in ENGINES]
     for r in rows:
         for k in ("distributed", "full_enumeration", "delta_enumeration"):
             r[k] = "yes" if r[k] else "no"

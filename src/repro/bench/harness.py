@@ -2,8 +2,9 @@
 
 Builds FIFO window streams from the synthetic graph / SNB-lite tables
 (the paper's constructions: count-window ``[t_e, t_e+w]`` for edges,
-time-window ``t- = t+ + w days`` for SNB) and runs any tuple engine
-over them, recording wall-clock, per-update latency and state size.
+time-window ``t- = t+ + w days`` for SNB), builds each tuple engine the
+figures compare (``make_engine``) and runs it over them, recording
+wall-clock and per-update latency.
 """
 from __future__ import annotations
 
@@ -13,6 +14,11 @@ from dataclasses import dataclass, field
 
 import pandas as pd
 
+from repro.bench.queries import BenchQuery
+from repro.core.baseline_cp import StandardCPEngine
+from repro.core.engine import CrownEngine
+from repro.core.hivm import FirstOrderHIVMEngine
+from repro.cq.ghd import dumbbell_ghd
 from repro.streams.sequences import (
     UpdateSequence,
     fifo_window_sequence,
@@ -33,13 +39,9 @@ SNB_STREAM_COLS = {
 SNB_TS_COL = {"knows": "k_ts", "message": "m_ts", "message_tag": "mt_ts"}
 
 
-def graph_stream(
-    *, sf: float = 0.01, window: int | None = None, seed: int = 7, limit: int | None = None
-) -> UpdateSequence:
+def graph_stream(*, sf: float = 0.01, window: int | None = None, seed: int = 7) -> UpdateSequence:
     """FIFO count-window stream (or insertion-only when window=None)."""
     pdf = graph_edges_pdf(sf=sf, seed=seed)
-    if limit is not None:
-        pdf = pdf.head(limit)
     rows = [("G", (int(r.src), int(r.dst))) for r in pdf.itertuples(index=False)]
     if window is None:
         return insertion_only_sequence(rows)
@@ -103,16 +105,38 @@ def snb_stream(*, sf: float = 0.01, window_days: float = 60.0, seed: int = 11) -
     return UpdateSequence(pre.updates + seq.updates)
 
 
+# the tuple engines of Table 1 and Figs. 7/8/11/12, in the paper's order:
+# CROWN, the Flink proxy (standard CP), the DBToaster proxy (first-order
+# HIVM) and the Trill proxy (standard CP, delta output only)
+ENGINES = ("crown", "flink_cp", "dbtoaster_hivm", "trill_delta")
+
+
+def make_engine(name: str, bq: BenchQuery, max_view_rows: int | None = None):
+    """A fresh tuple engine ``name`` (one of ``ENGINES``) for ``bq``.
+
+    CROWN runs a cyclic query on its GHD (Fig. 5). ``max_view_rows``
+    caps a baseline's materialized views (the OOM guard); CROWN's state
+    is linear and needs no cap.
+    """
+    if name == "crown":
+        if bq.cyclic:
+            return dumbbell_ghd(bq.cq, post_filter=bq.post_filter)
+        return CrownEngine(bq.cq, post_filter=bq.post_filter)
+    if name == "dbtoaster_hivm":
+        return FirstOrderHIVMEngine(bq.cq, post_filter=bq.post_filter, max_view_rows=max_view_rows)
+    if name in ("flink_cp", "trill_delta"):
+        return StandardCPEngine(bq.cq, delta_only=name == "trill_delta",
+                                post_filter=bq.post_filter, max_view_rows=max_view_rows)
+    raise KeyError(name)
+
+
 @dataclass
 class RunResult:
-    engine: str
-    query: str
     updates: int = 0
     deltas: int = 0
     seconds: float = 0.0
     avg_latency_ms: float = 0.0
     p99_latency_ms: float = 0.0
-    space_rows: int = 0
     failed: str = ""
     latencies: list = field(default_factory=list, repr=False)
 
@@ -120,18 +144,24 @@ class RunResult:
     def avg_update_us(self) -> float:
         return 1e6 * self.seconds / max(1, self.updates)
 
+    def cell(self, per_update: bool = False) -> str:
+        """The run's job-table cell: ``FAIL(<reason>)`` for an aborted
+        run (the paper's missing bars), else total seconds, or µs per
+        update with ``per_update``."""
+        if self.failed:
+            return f"FAIL({self.failed.split(':')[0]})"
+        return f"{self.avg_update_us:.1f}us" if per_update else f"{self.seconds:.2f}s"
+
 
 def run_engine(
     engine,
     seq: UpdateSequence,
-    name: str,
-    query: str,
     time_limit_s: float | None = None,
     record_latency: bool = False,
     consumer=None,
 ) -> RunResult:
     """Replay ``seq`` through ``engine.apply``; optional delta consumer."""
-    res = RunResult(engine=name, query=query)
+    res = RunResult()
     lat: list[float] = []
     t0 = time.perf_counter()
     try:
@@ -155,18 +185,14 @@ def run_engine(
         res.avg_latency_ms = sum(lat) / len(lat)
         res.p99_latency_ms = lat_sorted[int(0.99 * (len(lat_sorted) - 1))]
         res.latencies = lat
-    if hasattr(engine, "space"):
-        res.space_rows = engine.space()
     return res
 
 
-def print_table(title: str, rows: list[dict], cols: list[str]) -> str:
+def print_table(title: str, rows: list[dict], cols: list[str]) -> None:
     """Fixed-width table for job output and EXPERIMENTS.md."""
     widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in cols}
     lines = [title, " | ".join(c.ljust(widths[c]) for c in cols)]
     lines.append("-+-".join("-" * widths[c] for c in cols))
     for r in rows:
         lines.append(" | ".join(str(r.get(c, "")).ljust(widths[c]) for c in cols))
-    out = "\n".join(lines)
-    print(out, flush=True)
-    return out
+    print("\n".join(lines), flush=True)

@@ -15,7 +15,7 @@ DistinctCountAggregator (§7.1/§7.3; see DESIGN.md).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.cq.join_tree import JoinTree, free_connex_trees
@@ -358,11 +358,15 @@ def r2_under_r1(cq: CQ) -> JoinTree:
     )
 
 
-def keep_pct(bq: BenchQuery, pct: int) -> CQ:
+def keep_pct(bq: BenchQuery, pct: int) -> BenchQuery:
     """Fig. 12: ``bq`` with its FILTER OVER selection widened to keep
     about ``pct`` percent of the filtered endpoint values."""
     cq = bq.cq
     ((atom, sel),) = cq.where
     mod = max(1, round(100 / pct))
     where = ((atom, Selection(sel.attr, "%", mod)),)
-    return CQ(cq.relations, cq.output, f"{cq.name}_keep{pct}", where)
+    return replace(
+        bq,
+        cq=CQ(cq.relations, cq.output, f"{cq.name}_keep{pct}", where),
+        sql=bq.sql.replace(f"% {sel.const} = 0", f"% {mod} = 0"),
+    )

@@ -30,7 +30,6 @@ class StandardCPEngine:
     def __init__(
         self,
         cq: CQ,
-        order: list[str] | None = None,
         delta_only: bool = False,
         post_filter: Callable[[YDict], bool] | None = None,
         max_view_rows: int | None = None,
@@ -40,8 +39,7 @@ class StandardCPEngine:
         self.post_filter = post_filter
         self.max_view_rows = max_view_rows
         names = [r.name for r in cq.relations]
-        self.order = list(order) if order is not None else names
-        assert sorted(self.order) == sorted(names)
+        self.order = names
         self.rels = {r.name: r for r in cq.relations}
         self.base: dict[str, set] = {n: set() for n in names}
         # prefix attribute lists; shared (join) attrs at each position

@@ -59,9 +59,6 @@ class JoinTree:
         p = self.nodes[name].parent
         return self.nodes[p] if p is not None else None
 
-    def children(self, name: str) -> list[TreeNode]:
-        return [self.nodes[c] for c in self.nodes[name].children]
-
     def key(self, name: str) -> tuple[str, ...]:
         """``key(e) = e ∩ p(e)``, sorted; empty at the root."""
         n = self.nodes[name]
@@ -227,19 +224,6 @@ class JoinTree:
             return (tuple(sorted(node.attrs)), node.relation or "", kids)
 
         return rec(self.root)
-
-    def describe(self) -> str:
-        lines: list[str] = []
-
-        def rec(n: str, depth: int) -> None:
-            node = self.nodes[n]
-            tag = node.relation or f"[{','.join(sorted(node.attrs))}]"
-            lines.append("  " * depth + tag)
-            for c in node.children:
-                rec(c, depth + 1)
-
-        rec(self.root, 0)
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

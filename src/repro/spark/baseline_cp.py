@@ -15,7 +15,9 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.cq.query import CQ
-from repro.spark.state import checkpoint, empty_df, selection_filters
+from repro.spark.state import (
+    checkpoint, effective, empty_df, fold_bag, selection_filters, set_delta,
+)
 
 
 class SparkStandardCP:
@@ -25,7 +27,6 @@ class SparkStandardCP:
         self,
         spark: SparkSession,
         cq: CQ,
-        order: list[str] | None = None,
         delta_only: bool = False,
         post_filter: Column | None = None,
     ) -> None:
@@ -35,7 +36,7 @@ class SparkStandardCP:
         self.post_filter = post_filter
         self.atom_filters = selection_filters(cq)
         names = [r.name for r in cq.relations]
-        self.order = list(order) if order is not None else names
+        self.order = names
         self.rels = {r.name: r for r in cq.relations}
         # base relations and prefix views (with multiplicity __m)
         self.base: dict[str, DataFrame] = {
@@ -66,16 +67,6 @@ class SparkStandardCP:
             d = d.filter(flt)
         return d
 
-    def _fold_bag(self, bag: DataFrame, delta: DataFrame, cols: list[str]) -> DataFrame:
-        """bag ⊎ delta (both carry __m), dropping zero multiplicities."""
-        out = (
-            bag.unionByName(delta.select(*cols, "__m"))
-            .groupBy(cols)
-            .agg(F.sum("__m").alias("__m"))
-            .filter(F.col("__m") != 0)
-        )
-        return checkpoint(out)
-
     def process_batch(self, stream_deltas: dict[str, DataFrame]) -> DataFrame:
         """Apply one (compacted) batch; return signed output delta."""
         result_old = self.result
@@ -87,18 +78,8 @@ class SparkStandardCP:
             d = self._atom_delta(atom, sd)
             if d.isEmpty():
                 continue
-            # keep only *effective* events (set semantics on the base)
             acols = list(rel.attrs)
-            ins = (
-                d.filter(F.col("sign") > 0)
-                .select(acols)
-                .join(self.base[atom], on=acols, how="left_anti")
-            )
-            dels = (
-                d.filter(F.col("sign") < 0)
-                .select(acols)
-                .join(self.base[atom], on=acols, how="left_semi")
-            )
+            ins, dels = effective(d, self.base[atom], acols)
             d = ins.withColumn("sign", F.lit(1)).unionByName(
                 dels.withColumn("sign", F.lit(-1))
             )
@@ -128,26 +109,16 @@ class SparkStandardCP:
                     delta = delta.join(
                         self.base[self.order[i]], on=shared, how="inner"
                     )
-                self.views[i] = self._fold_bag(
-                    self.views[i], delta, self.prefix_attrs[i]
-                )
+                self.views[i] = fold_bag(self.views[i], delta, self.prefix_attrs[i])
             # fold into the result bag
             rd = delta.groupBy(list(self.cq.output)).agg(
                 F.sum("__m").alias("__m")
             )
             if self.post_filter is not None:
                 rd = rd.filter(self.post_filter)
-            self.result = self._fold_bag(
-                self.result, rd, list(self.cq.output)
-            )
+            self.result = fold_bag(self.result, rd, list(self.cq.output))
         self.batches += 1
-        # set-semantics output delta: support transitions 0 ↔ >0
-        cols = list(self.cq.output)
-        now = self.result.filter(F.col("__m") > 0).select(cols)
-        before = result_old.filter(F.col("__m") > 0).select(cols)
-        plus = now.exceptAll(before).withColumn("sign", F.lit(1))
-        minus = before.exceptAll(now).withColumn("sign", F.lit(-1))
-        return checkpoint(plus.unionByName(minus))
+        return set_delta(result_old, self.result, list(self.cq.output))
 
     def full_result(self) -> DataFrame:
         if self.delta_only:

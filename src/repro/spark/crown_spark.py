@@ -22,8 +22,10 @@ child's changed key. What is batch-sized lives on the driver: the
 batch's tuples, each node's d, the V_p keys whose count crossed 0 and
 the tuples that climb to the root. A membership test against such a
 list is a literal predicate compiled on the driver — ``IN`` for one
-column, tuple ``IN`` for several, ``TRUE``/``FALSE`` for none, and a
-NULL matches nothing, as in a join. Only a list longer than
+column, tuple ``IN`` for several, ``TRUE``/``FALSE`` for none. A key
+from another node (a child's key or V_p entry) holding a NULL matches
+nothing, as in a join; a node's own tuple holding one matches its
+stored copy (``<=>``). Only a list longer than
 ``LITERAL_KEYS`` (a bulk load) is joined against instead, as a
 broadcast frame.
 
@@ -104,14 +106,29 @@ def _proj(src: Sequence[str], cols: Sequence[str]) -> Callable[[tuple], tuple]:
     return lambda t: tuple(t[i] for i in idx)
 
 
+def _non_null(keys: Iterable[tuple]) -> set[tuple]:
+    """The keys that can match another node's rows: as in a join, a
+    NULL matches nothing."""
+    return {k for k in keys if None not in k}
+
+
 def _member(cols: Sequence[str], keys: list[tuple]) -> str:
-    """SQL for "the row's ``cols`` are one of ``keys``" (no key holds a
-    NULL). It is never NULL, so its negation keeps NULL rows, as an
-    anti-join does."""
-    if len(cols) == 1:
-        return f"coalesce(`{cols[0]}` IN ({', '.join(f'{k[0]}L' for k in keys)}), false)"
-    lits = ", ".join("(" + ", ".join(f"{v}L" for v in k) + ")" for k in keys)
-    return f"({', '.join(_quoted(cols))}) IN ({lits})"
+    """SQL for "the row's ``cols`` are one of ``keys``". A key holding a
+    NULL matches a NULL there (``<=>``). It is never NULL, so its
+    negation keeps the rows it does not match, as an anti-join does."""
+    plain = [k for k in keys if None not in k]
+    terms = []
+    if len(cols) == 1 and plain:
+        terms.append(f"coalesce(`{cols[0]}` IN ({', '.join(f'{k[0]}L' for k in plain)}), false)")
+    elif plain:
+        lits = ", ".join("(" + ", ".join(f"{v}L" for v in k) + ")" for k in plain)
+        terms.append(f"({', '.join(_quoted(cols))}) IN ({lits})")
+    terms += [
+        "(" + " AND ".join(f"`{c}` <=> {'NULL' if v is None else f'{v}L'}"
+                           for c, v in zip(cols, k)) + ")"
+        for k in keys if None in k
+    ]
+    return terms[0] if len(terms) == 1 else f"({' OR '.join(terms)})"
 
 
 @dataclass
@@ -259,15 +276,21 @@ class SparkCrown:
     def _filter(self, df: DataFrame, cols: Sequence[str], keys: Iterable[tuple],
                 keep: bool) -> DataFrame:
         """The rows of ``df`` whose ``cols`` are (``keep``) or are not
-        among the driver-side ``keys``; a NULL matches nothing."""
-        keys = [k for k in keys if None not in k]
+        among the driver-side ``keys``. A NULL in a key matches a NULL:
+        a node's own tuples are matched against their stored copies.
+        Keys from another node go through ``_non_null`` first."""
+        keys = list(keys)
         if not cols or not keys:
             return df if bool(keys) == keep else df.filter("false")
-        if len(keys) > LITERAL_KEYS:
-            small = local_frame(self.spark, keys, list(cols))
+        if len(keys) <= LITERAL_KEYS:
+            pred = _member(cols, keys)
+            return df.filter(pred if keep else f"NOT {pred}")
+        small = local_frame(self.spark, keys, list(cols))
+        if all(None not in k for k in keys):
             return (semi if keep else anti)(df, small, list(cols))
-        pred = _member(cols, keys)
-        return df.filter(pred if keep else f"NOT {pred}")
+        small = small.toDF(*(f"_{c}" for c in cols))
+        on = reduce(Column.__and__, (df[c].eqNullSafe(small[f"_{c}"]) for c in cols))
+        return df.join(F.broadcast(small), on, "left_semi" if keep else "left_anti")
 
     def _fetch(self, node: _NodeState, pieces: list[tuple[int, DataFrame]]
                ) -> dict[int, dict[tuple, int]]:
@@ -288,21 +311,20 @@ class SparkCrown:
         attrs, full, root = node.attrs, set(node.attrs), node.name == self.tree.root
         children = [self.nodes[c] for c in node.children]
         # the candidates: the tuples under some literal keys, per column
-        # tuple (a NULL matches nothing)
+        # tuple
         cand_keys: Keys = defaultdict(set)
         if batch:
             cand_keys[tuple(attrs)] |= set(batch)
         for c in children:
             if c.name in kids:
-                cand_keys[tuple(c.key)] |= kids[c.name].keys
-        cand_keys = {cols: {k for k in ks if None not in k} for cols, ks in cand_keys.items()}
+                cand_keys[tuple(c.key)] |= _non_null(kids[c.name].keys)
         # stored rows are also fetched under a child's affected tuples,
         # to climb them
         row_keys: Keys = defaultdict(set, {cols: set(ks) for cols, ks in cand_keys.items()})
         for c in children:
             if c.name in kids and set(c.key) != full:
                 up = _proj(c.attrs, c.key)
-                row_keys[tuple(c.key)] |= {up(t) for t in kids[c.name].affected}
+                row_keys[tuple(c.key)] |= _non_null(map(up, kids[c.name].affected))
 
         # the V_p entries the candidates need: each child's, and the
         # node's own counts but at the root
@@ -314,13 +336,15 @@ class SparkCrown:
         late = []
         for tag, (df, key) in frames.items() if cand_keys else ():
             if set(key) == full:
-                pieces += [(tag, self._filter(df, cols, ks, True))
-                           for cols, ks in cand_keys.items()]
+                lits = list(cand_keys.items())
             elif all(set(key) <= set(cols) for cols in cand_keys):
-                lit = {_proj(cols, key)(k) for cols, ks in cand_keys.items() for k in ks}
-                pieces.append((tag, self._filter(df, key, lit, True)))
+                lits = [(key, {_proj(cols, key)(k) for cols, ks in cand_keys.items() for k in ks})]
             else:
                 late.append(tag)
+                continue
+            # a child's V_p belongs to another node: there a NULL matches nothing
+            pieces += [(tag, self._filter(df, cols, ks if tag == OWN_VP else _non_null(ks), True))
+                       for cols, ks in lits]
         got = self._fetch(node, pieces)
 
         stored = got[OWN_ROW]
@@ -335,6 +359,7 @@ class SparkCrown:
             for tag in late:
                 df, key = frames[tag]
                 lit = set(map(_proj(attrs, key), cands))
+                lit = lit if tag == OWN_VP else _non_null(lit)
                 pieces.append((tag, self._filter(df, key, lit, True)))
             got.update(self._fetch(node, pieces))
         projs = [_proj(attrs, c.key) for c in children]

@@ -13,7 +13,9 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.cq.query import CQ
-from repro.spark.state import checkpoint, empty_df, selection_filters
+from repro.spark.state import (
+    checkpoint, effective, empty_df, fold_bag, selection_filters, set_delta,
+)
 
 
 class SparkFirstOrderHIVM:
@@ -51,15 +53,6 @@ class SparkFirstOrderHIVM:
         )
         self.batches = 0
 
-    def _fold(self, bag: DataFrame, delta: DataFrame, cols: list[str]) -> DataFrame:
-        out = (
-            bag.unionByName(delta.select(*cols, "__m"))
-            .groupBy(cols)
-            .agg(F.sum("__m").alias("__m"))
-            .filter(F.col("__m") != 0)
-        )
-        return checkpoint(out)
-
     def process_batch(self, stream_deltas: dict[str, DataFrame]) -> DataFrame:
         result_old = self.result
         for atom in self.names:
@@ -74,16 +67,7 @@ class SparkFirstOrderHIVM:
             if d.isEmpty():
                 continue
             acols = list(rel.attrs)
-            ins = (
-                d.filter(F.col("sign") > 0)
-                .select(acols)
-                .join(self.base[atom], on=acols, how="left_anti")
-            )
-            dels = (
-                d.filter(F.col("sign") < 0)
-                .select(acols)
-                .join(self.base[atom], on=acols, how="left_semi")
-            )
+            ins, dels = effective(d, self.base[atom], acols)
             eff = ins.withColumn("__m", F.lit(1)).unionByName(
                 dels.withColumn("__m", F.lit(-1))
             )
@@ -101,7 +85,7 @@ class SparkFirstOrderHIVM:
             rd = dq.groupBy(list(self.cq.output)).agg(F.sum("__m").alias("__m"))
             if self.post_filter is not None:
                 rd = rd.filter(self.post_filter)
-            self.result = self._fold(self.result, rd, list(self.cq.output))
+            self.result = fold_bag(self.result, rd, list(self.cq.output))
             # maintain the other auxiliary views (the expensive part);
             # greedy join order, cross join when no attr is shared —
             # first-order HIVM really does materialize such products
@@ -123,17 +107,12 @@ class SparkFirstOrderHIVM:
                     else:
                         dm = dm.crossJoin(self.base[n])
                     seen |= set(self.rels[n].attrs)
-                self.m_view[i] = self._fold(self.m_view[i], dm, self.m_attrs[i])
+                self.m_view[i] = fold_bag(self.m_view[i], dm, self.m_attrs[i])
             # base update
             nb = self.base[atom].join(dels, on=acols, how="left_anti")
             self.base[atom] = checkpoint(nb.unionByName(ins))
         self.batches += 1
-        cols = list(self.cq.output)
-        now = self.result.filter(F.col("__m") > 0).select(cols)
-        before = result_old.filter(F.col("__m") > 0).select(cols)
-        plus = now.exceptAll(before).withColumn("sign", F.lit(1))
-        minus = before.exceptAll(now).withColumn("sign", F.lit(-1))
-        return checkpoint(plus.unionByName(minus))
+        return set_delta(result_old, self.result, list(self.cq.output))
 
     def full_result(self) -> DataFrame:
         return self.result.filter(F.col("__m") > 0).select(list(self.cq.output))

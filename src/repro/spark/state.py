@@ -47,6 +47,36 @@ def checkpoint(df: DataFrame) -> DataFrame:
     return df.localCheckpoint(eager=True)
 
 
+def fold_bag(bag: DataFrame, delta: DataFrame, cols: list[str]) -> DataFrame:
+    """Checkpointed bag ⊎ delta (both carry ``__m``), dropping zero
+    multiplicities."""
+    out = (
+        bag.unionByName(delta.select(*cols, "__m"))
+        .groupBy(cols)
+        .agg(F.sum("__m").alias("__m"))
+        .filter(F.col("__m") != 0)
+    )
+    return checkpoint(out)
+
+
+def effective(d: DataFrame, base: DataFrame, cols: list[str]) -> tuple[DataFrame, DataFrame]:
+    """The batch ``d``'s effective inserts and deletes under set
+    semantics: inserts of tuples not in ``base``, deletes of tuples in it."""
+    ins = d.filter(F.col("sign") > 0).select(cols).join(base, on=cols, how="left_anti")
+    dels = d.filter(F.col("sign") < 0).select(cols).join(base, on=cols, how="left_semi")
+    return ins, dels
+
+
+def set_delta(before: DataFrame, after: DataFrame, cols: list[str]) -> DataFrame:
+    """The signed set-semantics delta between two result bags: the tuples
+    whose multiplicity crossed 0, checkpointed."""
+    now = after.filter(F.col("__m") > 0).select(cols)
+    old = before.filter(F.col("__m") > 0).select(cols)
+    plus = now.exceptAll(old).withColumn("sign", F.lit(1))
+    minus = old.exceptAll(now).withColumn("sign", F.lit(-1))
+    return checkpoint(plus.unionByName(minus))
+
+
 def _probe(small: DataFrame, on: list[str]) -> DataFrame:
     """The broadcast side of a semi/anti-join. With no key columns it is
     at most one row of no columns, so the join only asks whether

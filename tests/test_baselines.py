@@ -3,6 +3,7 @@ DBToaster): correctness vs brute force, Table 1 capabilities, and the
 space blowup CROWN avoids."""
 import pytest
 
+from repro.bench.harness import ENGINES, make_engine
 from repro.bench.queries import GRAPH_QUERIES
 from repro.core.baseline_cp import StandardCPEngine
 from repro.core.engine import CrownEngine
@@ -149,11 +150,7 @@ class TestTable1:
 
     def test_only_crown_supports_both_enumeration_modes(self):
         bq = GRAPH_QUERIES["3hop_full"]()
-        rows = [
-            CrownEngine.capabilities(),
-            StandardCPEngine(bq.cq).capabilities(),
-            StandardCPEngine(bq.cq, delta_only=True).capabilities(),
-            FirstOrderHIVMEngine(bq.cq).capabilities(),
-        ]
-        both = [r["system"] for r in rows if r["full_enumeration"] and r["delta_enumeration"]]
-        assert both == ["CROWN"]
+        rows = [make_engine(name, bq).capabilities() for name in ENGINES]
+        assert [r["system"] for r in rows] == ["CROWN", "Flink", "DBToaster", "Trill"]
+        assert [r["full_enumeration"] for r in rows] == [True, True, True, False]
+        assert [r["delta_enumeration"] for r in rows] == [True, False, False, True]

@@ -1,6 +1,7 @@
 """SparkCrown (micro-batch join-free maintenance) — correctness against
 the tuple engine and the DuckDB oracle."""
 import random
+from collections import Counter
 
 import pandas as pd
 import pytest
@@ -8,10 +9,11 @@ import pytest
 from repro.bench.queries import hop3_full, hop3_proj, star
 from repro.core.engine import CrownEngine
 from repro.cq.join_tree import best_tree, free_connex_trees
+from repro.cq.query import CQ, Relation
 from repro.oracle import assert_equivalent
 from repro.spark import crown_spark
 from repro.spark.crown_spark import SparkCrown
-from repro.spark.state import anti, semi
+from repro.spark.state import anti, local_frame, semi
 from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
 from tests._util import jobs_of
@@ -40,26 +42,12 @@ def batched_graph_events(n_batches=3, per_batch=35, dom=12, seed=0):
 
 @pytest.mark.parametrize("factory", [hop3_full, hop3_proj, star], ids=lambda f: f.__name__)
 def test_batch_deltas_match_core_engine(spark, factory):
-    bq = factory()
-    cq = bq.cq
+    cq = factory().cq
     sc = SparkCrown(spark, cq, best_tree(cq))
     core = CrownEngine(cq)
-    from collections import Counter
-
     for batch in batched_graph_events(seed=hash(cq.name) % 100):
-        net = Counter()
-        for s, a, b in batch:
-            for sg, t in core.apply(Update("G", (a, b), s > 0)):
-                net[t] += sg
-        sd = spark.createDataFrame(
-            pd.DataFrame(batch, columns=["sign", "a", "b"])
-        )
-        rows = sc.process_batch({"G": sd}).collect()
-        got_p = {tuple(r[x] for x in cq.output) for r in rows if r["sign"] > 0}
-        got_m = {tuple(r[x] for x in cq.output) for r in rows if r["sign"] < 0}
-        assert got_p == {t for t, c in net.items() if c > 0}
-        assert got_m == {t for t, c in net.items() if c < 0}
-    assert {tuple(r) for r in sc.full_result().collect()} == core.full_result_set()
+        _check_batch(spark, sc, core, batch)
+    _check_full_result(sc, core)
 
 
 def test_full_result_vs_duckdb_oracle(spark):
@@ -99,8 +87,6 @@ def test_empty_batch_is_noop(spark):
 def _check_batch(spark, sc, core, batch):
     """Feed one batch to ``sc`` and ``core``; its delta set must equal
     the core engine's net delta."""
-    from collections import Counter
-
     net = Counter()
     for s, a, b in batch:
         for sg, t in core.apply(Update("G", (a, b), s > 0)):
@@ -236,3 +222,40 @@ def test_broadcast_fallback_matches_core_engine(spark, monkeypatch, factory):
         _check_batch(spark, sc, core, batch)
     _check_full_result(sc, core)
     assert {"semi", "anti"} <= set(joins)
+
+
+R_S = CQ((Relation("R", ("A", "B")), Relation("S", ("B", "C"))), ("A", "B", "C"), name="r_s")
+
+
+@pytest.mark.parametrize("limit", [crown_spark.LITERAL_KEYS, 0], ids=["literal", "broadcast"])
+@pytest.mark.parametrize("tree", free_connex_trees(R_S), ids=lambda t: t.root)
+def test_tuples_holding_null_are_deleted(spark, monkeypatch, tree, limit):
+    """A batch tuple holding a NULL finds its stored copy, so deleting
+    it emits its deltas and removes the row, and a re-insert stores it
+    once; as a join key, a NULL still matches nothing."""
+    monkeypatch.setattr(crown_spark, "LITERAL_KEYS", limit)
+    sc = SparkCrown(spark, R_S, tree)
+    core = CrownEngine(R_S, tree)
+    batches = [
+        [("R", 1, (None, 5)), ("S", 1, (5, 7)), ("R", 1, (1, None))],
+        [("R", -1, (None, 5)), ("R", -1, (1, None))],
+        [("R", 1, (1, None))],
+    ]
+    for batch in batches:
+        net = Counter()
+        for stream, sign, t in batch:
+            for sg, out in core.apply(Update(stream, t, sign > 0)):
+                net[out] += sg
+        frames = {
+            rel.name: local_frame(spark, [(sg, *t) for st, sg, t in batch if st == rel.name],
+                                  ["sign", *rel.attrs])
+            for rel in R_S.relations
+        }
+        rows = sc.process_batch(frames).collect()
+        assert {(r["A"], r["B"], r["C"]): r["sign"] for r in rows} == {
+            t: (1 if c > 0 else -1) for t, c in net.items() if c != 0
+        }
+    _check_full_result(sc, core)
+    r = sc.nodes[tree.relation_node("R")]
+    assert [tuple(row)[:2] for row in r.rows().collect()] == [(1, None)]
+    assert [tuple(row) for row in r.counts().collect()] == ([] if tree.root == "R" else [(None, 1)])

@@ -6,7 +6,7 @@ cost accounting — Lemma C.1) on sequences with dialled λ.
 """
 import pytest
 
-from repro.bench.harness import graph_stream
+from repro.bench.harness import graph_stream, make_engine
 from repro.bench.queries import hop3_full, hop4_full, r2_under_r1, star, thm67
 from repro.core.enclosure import nested_sequence, tree_enclosureness
 from repro.core.engine import CrownEngine
@@ -101,3 +101,29 @@ def test_hop4_window_exact_stats():
     eng = CrownEngine(bq.cq, post_filter=bq.post_filter)
     eng.run(graph_stream(sf=0.002, window=150, seed=1))
     assert eng.stats == {"counter_changes": 7982, "updates": 2000, "deltas": 14104}
+
+
+def per_update_by_quarter(eng, seq, stat):
+    """``eng.stats[stat]`` per update in each quarter of ``seq``."""
+    q = len(seq) // 4
+    out, before = [], 0
+    for i, u in enumerate(seq, 1):
+        eng.apply(u)
+        if i % q == 0:
+            out.append((eng.stats[stat] - before) / q)
+            before = eng.stats[stat]
+    return out
+
+
+def test_fig11_shape_on_insertion_only_stream():
+    """Fig. 11's shape in work, not time: on an insertion-only stream
+    CROWN's counter changes per update stay flat, while the Trill
+    proxy's view rows touched per update keep growing with its
+    materialized join views."""
+    bq = hop3_full()
+    seq = graph_stream(sf=0.004, window=None)
+    assert len(seq) == 2000
+    crown = per_update_by_quarter(make_engine("crown", bq), seq, "counter_changes")
+    trill = per_update_by_quarter(make_engine("trill_delta", bq), seq, "view_rows_touched")
+    assert crown[-1] <= 1.25 * crown[0]
+    assert trill[-1] >= 3 * trill[0]
