@@ -28,6 +28,7 @@ argument of Lemma 5.7 for insertions and deletions alike.
 """
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -183,9 +184,16 @@ class CrownEngine:
         self.nodes: dict[str, _Node] = {
             n: _Node(self.tree, n, y) for n in self.tree.nodes
         }
-        # per atom: its tree node and its §7.2 selections; per stream: its atoms
+        # per atom: its tree node, its §7.2 selections and the positions of
+        # its join attributes (shared with another atom), where a NULL
+        # matches nothing, as in SQL; per stream: its atoms
+        seen = Counter(a for r in cq.relations for a in r.attrs)
         self._atoms = {
-            r.name: (self.nodes[self.tree.relation_node(r.name)], cq.selections_on(r.name))
+            r.name: (
+                self.nodes[self.tree.relation_node(r.name)],
+                cq.selections_on(r.name),
+                tuple(i for i, a in enumerate(r.attrs) if seen[a] > 1),
+            )
             for r in cq.relations
         }
         self._stream_atoms: dict[str, list] = {}
@@ -253,7 +261,10 @@ class CrownEngine:
         """Process one update; return the delta as ``[(±1, y-tuple)]``."""
         out: list[tuple[int, tuple]] = []
         t = u.tuple
-        for node, preds in self._stream_atoms.get(u.stream, ()):
+        null = None in t
+        for node, preds, joins in self._stream_atoms.get(u.stream, ()):
+            if null and any(t[i] is None for i in joins):
+                continue  # it joins nothing: not stored, so its delete is a no-op too
             for p in preds:
                 if not p(t):
                     break  # §7.2: selection discards the update in O(1)
@@ -266,7 +277,9 @@ class CrownEngine:
     def apply_atom(self, rel: str, t: tuple, is_insert: bool) -> list[tuple[int, tuple]]:
         """Atom-level update (used by the HyperCube-partitioned engine,
         which dispatches each self-join copy independently)."""
-        node, preds = self._atoms[rel]
+        node, preds, joins = self._atoms[rel]
+        if None in t and any(t[i] is None for i in joins):
+            return []
         for p in preds:
             if not p(t):
                 return []

@@ -29,7 +29,8 @@ def evaluate(cq: CQ, db: dict[str, set[tuple]]) -> set[tuple]:
         for t in rows:
             d = dict(zip(rel.attrs, t))
             k = tuple(d[a] for a in shared)
-            idx.setdefault(k, []).append(t)
+            if None not in k:  # as in SQL, a NULL joins nothing
+                idx.setdefault(k, []).append(t)
         nxt: list[Row] = []
         for row in partial:
             k = tuple(row[a] for a in shared)

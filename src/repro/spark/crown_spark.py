@@ -41,16 +41,22 @@ the literal keys plus the new rows, written on the driver; its
 checkpoint is the node's last action. No state frame is shuffled and no
 two views are ever joined.
 
-Output. ΔQ comes from one seeded Yannakakis pass (top-down joins, Lemma
-5.1/5.3 — output-proportional) over old ∪ new V_s. The tuples of d are
-climbed to the root on the driver — each node's fetch also brings its
-stored tuples under a child's climbing tuples — and seed the pass. Each
-row carries old/new derivation weights (``_o``, ``_n``): a row of the
-new V_s counts (1, 1) and a row of d (−sign, 0), so a tuple's weights
-sum to its old and new membership. The joins multiply weights,
-projections sum them, and an output tuple's sign is
-[Σ _n > 0] − [Σ _o > 0]; only non-zero signs are kept. The returned
-frame is lazy: materializing it is the batch's last action.
+Output. ΔQ is enumerated on the driver, top-down from the root tuples
+above a changed V_s tuple (Lemma 5.1/5.3: output-proportional). The
+tuples of d are climbed to the root while the nodes are maintained —
+each node's fetch also brings its stored tuples under a child's
+climbing tuples — and seed the pass. One collect per tree depth fetches
+the weighted rows it needs: the root's rows under the seeds together
+with depth 1's rows under the seeds' keys, then each deeper node's rows
+under the keys of the partial results joined so far. A row of V_s
+counts (1, 1) as old/new derivation weights and a row of d (−sign, 0),
+so a tuple's weights sum to its old and new membership; d counts only
+at a node it changed in this batch, since a node keeps the d of the
+last batch that changed it. The driver joins level by level on the
+node keys, multiplies the weights, sums them per output tuple, and
+keeps the non-zero signs [Σ _n > 0] − [Σ _o > 0]. The result is a local
+frame: collecting it runs no Spark job. ``full_result`` is state-sized
+and stays a Spark plan of top-down joins.
 
 This is the foreachBatch-equivalent of a Structured Streaming job,
 driven synchronously for deterministic tests (DESIGN.md § layering).
@@ -58,7 +64,7 @@ driven synchronously for deterministic tests (DESIGN.md § layering).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -94,10 +100,15 @@ def _quoted(cols: Iterable[str]) -> list[str]:
     return [f"`{c}`" for c in cols]
 
 
-def _sum_weights(df: DataFrame) -> DataFrame:
-    """Project away duplicates, summing their derivation weights."""
-    rest = [c for c in df.columns if c not in ("_o", "_n")]
-    return df.groupBy(*rest).agg(F.expr("sum(_o) AS _o"), F.expr("sum(_n) AS _n"))
+def _summed(rows: Iterable[tuple[tuple, int, int]]) -> dict[tuple, tuple[int, int]]:
+    """Each distinct tuple of ``rows`` (tuple, old weight, new weight)
+    with its summed weights; tuples whose sums are both 0 are dropped."""
+    out: dict[tuple, list[int]] = defaultdict(lambda: [0, 0])
+    for t, o, n in rows:
+        w = out[t]
+        w[0] += o
+        w[1] += n
+    return {t: (o, n) for t, (o, n) in out.items() if o or n}
 
 
 def _proj(src: Sequence[str], cols: Sequence[str]) -> Callable[[tuple], tuple]:
@@ -161,26 +172,6 @@ class _NodeState:
         touched the node."""
         return local_frame(self.frame.sparkSession, list(self.keys), self.key)
 
-    def weighted(self, with_delta: bool) -> DataFrame:
-        """V_s with old/new derivation weights. With this batch's V_s
-        delta, its rows are added, so that each tuple's weights sum to
-        its old and new membership."""
-        cols = _quoted(self.attrs)
-        out = self.vs().selectExpr(*cols, "1 AS _o", "1 AS _n")
-        if with_delta:
-            out = out.unionByName(self.kind(DELTA).selectExpr(*cols, "-_v AS _o", "0 AS _n"))
-        return out
-
-    def tagged(self, kind: int, df: DataFrame) -> DataFrame:
-        """``df`` (some attribute columns and ``_v``) as rows of ``kind``,
-        null-padded to the frame's columns."""
-        have = set(df.columns)
-        return df.selectExpr(
-            *[f"`{a}`" if a in have else f"CAST(NULL AS BIGINT) AS `{a}`" for a in self.attrs],
-            f"CAST({kind} AS BIGINT) AS _k",
-            "CAST(_v AS BIGINT) AS _v",
-        )
-
 
 @dataclass
 class _Change:
@@ -228,6 +219,12 @@ class SparkCrown:
         # a node frame is a union of pieces; coalescing it before the
         # checkpoint keeps its partition count from growing per batch
         self.partitions = spark.sparkContext.defaultParallelism
+        # ΔQ's fetches: the nodes one tree depth at a time, the root with
+        # depth 1
+        levels = [[self.tree.root]]
+        while kids := [c for n in levels[-1] for c in self.nodes[n].children]:
+            levels.append(kids)
+        self.fetches = [sum(levels[:2], []), *levels[2:]]
         self.batches = 0
         self.stats: dict[str, dict[str, int]] = {}
 
@@ -242,9 +239,10 @@ class SparkCrown:
         tuple, the last one in the batch.
         """
         self.stats = {}
+        batches = self._batches(stream_deltas)
         done: dict[str, _Change] = {}  # nodes with affected tuples
         for name in self.tree.postorder():
-            batch = self._batch(name, stream_deltas)
+            batch = batches.get(name, {})
             kids = {c: done[c] for c in self.nodes[name].children if c in done}
             if not batch and not kids:
                 continue
@@ -252,26 +250,29 @@ class SparkCrown:
             if change.affected:
                 done[name] = change
         self.batches += 1
-        if self.tree.root not in done:
-            return empty_df(self.spark, list(self.cq.output) + ["sign"])
         return self._output_delta(done)
 
-    def _batch(self, name: str, stream_deltas: dict[str, DataFrame]) -> dict[tuple, int]:
-        """The batch's tuples of a relation node, after the atom's
-        selection, with their signs. A batch built from local data (a
-        ``LocalRelation``) is filtered and collected without a Spark job."""
-        tn = self.tree.node(name)
-        if tn.relation is None:
-            return {}
-        atom = self.cq.relation(tn.relation)
-        sd = stream_deltas.get(atom.stream)
-        if sd is None:
-            return {}
-        out = sd.toDF("sign", *self.nodes[name].attrs)
-        flt = self.atom_filters.get(atom.name)
-        if flt is not None:
-            out = out.filter(flt)
-        return {tuple(r[1:]): r[0] for r in out.collect()}
+    def _batches(self, stream_deltas: dict[str, DataFrame]) -> dict[str, dict[tuple, int]]:
+        """Each relation node's tuples of the batch, after its atom's
+        selection, with their signs. Each stream frame is collected once,
+        without a Spark job if it is built from local data (a
+        ``LocalRelation``); an atom's selection then filters those rows
+        as a local frame, which runs no job either."""
+        rows: dict[str, list[tuple]] = {}
+        out: dict[str, dict[tuple, int]] = {}
+        for atom in self.cq.relations:
+            if atom.stream not in stream_deltas:
+                continue
+            name = self.tree.relation_node(atom.name)
+            if atom.stream not in rows:
+                rows[atom.stream] = [tuple(r) for r in stream_deltas[atom.stream].collect()]
+            got = rows[atom.stream]
+            flt = self.atom_filters.get(atom.name)
+            if flt is not None and got:
+                cols = ["sign", *self.nodes[name].attrs]
+                got = local_frame(self.spark, got, cols).filter(flt).collect()
+            out[name] = {tuple(r[1:]): r[0] for r in got}
+        return out
 
     def _filter(self, df: DataFrame, cols: Sequence[str], keys: Iterable[tuple],
                 keep: bool) -> DataFrame:
@@ -292,16 +293,29 @@ class SparkCrown:
         on = reduce(Column.__and__, (df[c].eqNullSafe(small[f"_{c}"]) for c in cols))
         return df.join(F.broadcast(small), on, "left_semi" if keep else "left_anti")
 
-    def _fetch(self, node: _NodeState, pieces: list[tuple[int, DataFrame]]
-               ) -> dict[int, dict[tuple, int]]:
-        """One action for ``pieces`` (tag, frame of some of the node's
-        attribute columns and ``_v``): per tag, each row (null-padded to
-        the node's attributes) and its ``_v``."""
-        out: dict[int, dict[tuple, int]] = defaultdict(dict)
-        if pieces:
-            n = len(node.attrs)
-            for r in _union([node.tagged(tag, df) for tag, df in pieces]).collect():
-                out[r[n]][tuple(r[:n])] = r[n + 1]
+    @staticmethod
+    def _fetch(pieces: list[tuple[Hashable, Sequence[str], DataFrame]]
+               ) -> dict[Hashable, dict[tuple, int]]:
+        """One action for ``pieces`` (tag, columns, frame of some of those
+        columns and ``_v``): per tag, each row on its columns (NULL where
+        the frame has none) and its ``_v``."""
+        out: dict[Hashable, dict[tuple, int]] = defaultdict(dict)
+        if not pieces:
+            return out
+        widths = {tag: len(cols) for tag, cols, _ in pieces}
+        tags, width = list(widths), max(widths.values())
+        frames = []
+        for tag, cols, df in pieces:
+            have = set(df.columns)
+            frames.append(df.selectExpr(
+                *[f"`{a}` AS _c{i}" if a in have else f"CAST(NULL AS BIGINT) AS _c{i}"
+                  for i, a in enumerate(cols)],
+                *[f"CAST(NULL AS BIGINT) AS _c{i}" for i in range(len(cols), width)],
+                f"{tags.index(tag)}L AS _t", "CAST(_v AS BIGINT) AS _v",
+            ))
+        for r in _union(frames).collect():
+            tag = tags[r[width]]
+            out[tag][tuple(r[:widths[tag]])] = r[width + 1]
         return out
 
     def _maintain(self, node: _NodeState, batch: dict[tuple, int],
@@ -331,7 +345,7 @@ class SparkCrown:
         frames = {i: (c.counts(), c.key) for i, c in enumerate(children)}
         if not root:
             frames[OWN_VP] = (node.counts(), node.key)
-        pieces = [(OWN_ROW, self._filter(node.rows(), cols, ks, True))
+        pieces = [(OWN_ROW, attrs, self._filter(node.rows(), cols, ks, True))
                   for cols, ks in row_keys.items()]
         late = []
         for tag, (df, key) in frames.items() if cand_keys else ():
@@ -343,9 +357,10 @@ class SparkCrown:
                 late.append(tag)
                 continue
             # a child's V_p belongs to another node: there a NULL matches nothing
-            pieces += [(tag, self._filter(df, cols, ks if tag == OWN_VP else _non_null(ks), True))
+            pieces += [(tag, attrs, self._filter(df, cols, ks if tag == OWN_VP else _non_null(ks),
+                                                 True))
                        for cols, ks in lits]
-        got = self._fetch(node, pieces)
+        got = self._fetch(pieces)
 
         stored = got[OWN_ROW]
         tests = [(_proj(attrs, cols), ks) for cols, ks in cand_keys.items()]
@@ -360,8 +375,8 @@ class SparkCrown:
                 df, key = frames[tag]
                 lit = set(map(_proj(attrs, key), cands))
                 lit = lit if tag == OWN_VP else _non_null(lit)
-                pieces.append((tag, self._filter(df, key, lit, True)))
-            got.update(self._fetch(node, pieces))
+                pieces.append((tag, attrs, self._filter(df, key, lit, True)))
+            got.update(self._fetch(pieces))
         projs = [_proj(attrs, c.key) for c in children]
         held = [(p, set(map(p, got[i]))) for i, p in enumerate(projs)]
 
@@ -432,40 +447,73 @@ class SparkCrown:
 
     # ------------------------------------------------------------------
     def _output_delta(self, done: dict[str, _Change]) -> DataFrame:
-        """ΔQ of the batch: the weighted enumeration seeded at the root
-        tuples above a changed V_s tuple. A superset of the affected
-        tuples is safe: unchanged outputs get sign 0."""
-        u = {name: node.weighted(name in done and bool(done[name].d))
-             for name, node in self.nodes.items()}
-        root = self.tree.root
-        seeded = self._filter(u[root], self.nodes[root].attrs, done[root].affected, True)
-        out = self._enumerate(u, seeded, delta=True).selectExpr(
-            *_quoted(self.cq.output), "CAST(_n > 0 AS BIGINT) - CAST(_o > 0 AS BIGINT) AS sign"
-        ).filter("sign != 0")
-        if self.post_filter is not None:
-            out = out.filter(self.post_filter)
-        return out
+        """ΔQ of the batch as a local frame: the weighted top-down join,
+        on the driver, from the root tuples above a changed V_s tuple. A
+        superset of the affected tuples is safe: unchanged outputs get
+        sign 0."""
+        y = self.cq.output
+        root = self.nodes[self.tree.root]
+        # the partial results over ``cols`` and their weights; first, the
+        # seeds, under whose keys depth 1 is fetched with the root
+        cols, acc = list(root.attrs), done[root.name].affected if root.name in done else {}
+        later = sum(self.fetches, [])  # the nodes not yet joined
+        for names in self.fetches:
+            if not acc:
+                break
+            pieces = []
+            for name in names:
+                node = self.nodes[name]
+                if node is root:  # its own tuples: a NULL matches a NULL
+                    pieces.append(self._weighted_rows(node, cols, acc, done))
+                else:
+                    keys = _non_null(map(_proj(cols, node.key), acc))
+                    pieces.append(self._weighted_rows(node, node.key, keys, done))
+            got = self._fetch(pieces)
+            for name in names:
+                node = self.nodes[name]
+                later.remove(name)
+                if node is root:
+                    acc = self._weights(got, node, cols)
+                    continue
+                # keep y and the keys of the nodes still to join
+                need = set(y).union(*(self.nodes[n].key for n in later))
+                extra = [a for a in node.attrs if a in need and a not in node.key]
+                side: dict[tuple, list] = defaultdict(list)
+                for t, w in self._weights(got, node, node.key + extra).items():
+                    side[t[:len(node.key)]].append((t[len(node.key):], w))
+                on, kept = _proj(cols, node.key), [c for c in cols if c in need]
+                keep = _proj(cols, kept)
+                acc = _summed((keep(t) + rest, o * o2, n * n2) for t, (o, n) in acc.items()
+                              for rest, (o2, n2) in side.get(on(t), ()))
+                cols = kept + extra
+        rows = []
+        if acc:  # else the pass stopped early, and ``cols`` may lack y
+            to_y = _proj(cols, y)
+            out = _summed((to_y(t), o, n) for t, (o, n) in acc.items())
+            rows = [(*t, (n > 0) - (o > 0)) for t, (o, n) in out.items() if (n > 0) != (o > 0)]
+        frame = local_frame(self.spark, rows, [*y, "sign"])
+        return frame if self.post_filter is None else frame.filter(self.post_filter)
 
-    def _enumerate(
-        self, u: dict[str, DataFrame], acc: DataFrame, delta: bool
-    ) -> DataFrame:
-        """Yannakakis top-down join of the weighted V_s frames ``u`` from
-        the root rows ``acc``, projected to y with summed weights.
+    def _weighted_rows(self, node: _NodeState, cols: Sequence[str], keys: Iterable[tuple],
+                       done: dict[str, _Change]) -> tuple[str, list[str], DataFrame]:
+        """A ``_fetch`` piece: the node's V_s rows and, if the batch
+        changed it, its d rows, whose ``cols`` are among ``keys``; each
+        row on the node's attributes and its kind ``_k``."""
+        kinds = f"_k = {ROW} AND _v = 1"
+        if node.name in done and done[node.name].d:
+            kinds += f" OR _k = {DELTA}"
+        rows = self._filter(node.frame.filter(kinds), cols, keys, True)
+        return node.name, [*node.attrs, "_k"], rows
 
-        Output-proportional by Lemma 5.1 (no dangling tuples anywhere).
-        For a ``delta`` pass ``acc`` is delta-sized and is broadcast.
-        """
-        y = set(self.cq.output)
-        for name in self.tree.preorder()[1:]:
-            node = self.nodes[name]
-            keep = sorted(set(node.key) | (set(node.attrs) & (y | self._below_keys(name))))
-            side = u[name].selectExpr(*_quoted(keep), "_o AS _o2", "_n AS _n2")
-            acc = side.join(F.broadcast(acc) if delta else acc, node.key or None, "inner")
-            rest = [c for c in acc.columns if c not in ("_o", "_n", "_o2", "_n2")]
-            acc = acc.selectExpr(*_quoted(rest), "_o * _o2 AS _o", "_n * _n2 AS _n")
-            if len(keep) < len(node.attrs):
-                acc = _sum_weights(acc)
-        return _sum_weights(acc.select(*self.cq.output, "_o", "_n"))
+    @staticmethod
+    def _weights(got: dict[Hashable, dict[tuple, int]], node: _NodeState,
+                 cols: Sequence[str]) -> dict[tuple, tuple[int, int]]:
+        """The node's fetched rows projected onto ``cols``, with summed
+        old/new derivation weights: a V_s row counts (1, 1), a row of d
+        (−sign, 0)."""
+        to = _proj(node.attrs, cols)
+        return _summed((to(t[:-1]), 1, 1) if t[-1] == ROW else (to(t[:-1]), -v, 0)
+                       for t, v in got[node.name].items())
 
     def _below_keys(self, name: str) -> set[str]:
         """Attrs of ``name`` needed as join keys by its children."""
@@ -475,8 +523,19 @@ class SparkCrown:
         return need
 
     def full_result(self) -> DataFrame:
-        u = {name: node.weighted(False) for name, node in self.nodes.items()}
-        out = self._enumerate(u, u[self.tree.root], delta=False).select(*self.cq.output)
+        """Q(D): the Yannakakis top-down join of the V_s frames, a Spark
+        plan, as it is state-sized. Output-proportional by Lemma 5.1 (no
+        dangling tuples anywhere)."""
+        y = set(self.cq.output)
+        acc = self.nodes[self.tree.root].vs()
+        for name in self.tree.preorder()[1:]:
+            node = self.nodes[name]
+            keep = sorted(set(node.key) | (set(node.attrs) & (y | self._below_keys(name))))
+            side = node.vs().selectExpr(*_quoted(keep))
+            if len(keep) < len(node.attrs):
+                side = side.distinct()
+            acc = side.join(acc, node.key or None, "inner")
+        out = acc.selectExpr(*_quoted(self.cq.output)).distinct()
         if self.post_filter is not None:
             out = out.filter(self.post_filter)
         return out

@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench.queries import GRAPH_QUERIES, SNB_QUERIES
 from repro.core.engine import CrownEngine
+from repro.core.naive import evaluate
 from repro.cq.join_tree import best_tree, free_connex_trees
 from repro.cq.query import CQ, Relation
 from repro.streams.sequences import Update
@@ -103,6 +104,38 @@ def test_boolean_query_deltas(cq):
         fuzz_engine_vs_naive(
             lambda: CrownEngine(cq, tree), cq, arity, steps=150, dom=3, seed=i, check_full=10
         )
+
+
+def test_null_join_attribute_matches_nothing():
+    """As in SQL: on R(A,B) ⋈ S(B,C), R (1, NULL) and S (NULL, 7) join
+    nothing, in CrownEngine, in its shard form (``apply_atom``, as
+    PartitionedCrown drives it), in the naive oracle and in DuckDB. A
+    NULL on an attribute that joins nothing (R's A) is a plain value."""
+    import duckdb
+
+    cq = CQ((_R, _S), ("A", "B", "C"), "RS")
+    db = {"R": [(1, None), (None, 5)], "S": [(None, 7), (5, 7)]}
+    want = {(None, 5, 7)}
+    eng, shard = CrownEngine(cq), CrownEngine(cq)
+    for rel in ("R", "S"):
+        for t in db[rel]:
+            eng.apply(Update(rel, t, True))
+            shard.apply_atom(rel, t, True)
+    assert eng.full_result_set() == shard.full_result_set() == want
+    assert evaluate(cq, {rel: set(ts) for rel, ts in db.items()}) == want
+    con = duckdb.connect()
+    try:
+        got = con.execute(
+            "SELECT R.A, R.B, S.C FROM (VALUES (1, NULL), (NULL, 5)) R(A, B)"
+            " JOIN (VALUES (NULL, 7), (5, 7)) S(B, C) ON R.B = S.B"
+        ).fetchall()
+    finally:
+        con.close()
+    assert set(got) == want
+    # deleting a tuple that was never stored is a no-op
+    assert eng.apply(Update("R", (1, None), False)) == []
+    assert shard.apply_atom("S", (None, 7), False) == []
+    assert eng.apply(Update("R", (None, 5), False)) == [(-1, (None, 5, 7))]
 
 
 @pytest.mark.parametrize("seed", range(3))

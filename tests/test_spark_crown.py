@@ -1,6 +1,7 @@
 """SparkCrown (micro-batch join-free maintenance) — correctness against
 the tuple engine and the DuckDB oracle."""
 import random
+import zlib
 from collections import Counter
 
 import pandas as pd
@@ -17,6 +18,7 @@ from repro.spark.state import anti, local_frame, semi
 from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
 from tests._util import jobs_of
+from tests.test_engine_deltas import BOOLEAN_QUERIES
 
 
 def batched_graph_events(n_batches=3, per_batch=35, dom=12, seed=0):
@@ -45,7 +47,7 @@ def test_batch_deltas_match_core_engine(spark, factory):
     cq = factory().cq
     sc = SparkCrown(spark, cq, best_tree(cq))
     core = CrownEngine(cq)
-    for batch in batched_graph_events(seed=hash(cq.name) % 100):
+    for batch in batched_graph_events(seed=zlib.crc32(cq.name.encode()) % 100):
         _check_batch(spark, sc, core, batch)
     _check_full_result(sc, core)
 
@@ -85,14 +87,28 @@ def test_empty_batch_is_noop(spark):
 
 
 def _check_batch(spark, sc, core, batch):
-    """Feed one batch to ``sc`` and ``core``; its delta set must equal
-    the core engine's net delta."""
+    """Feed one batch of graph edges ``(sign, a, b)`` to ``sc`` and ``core``."""
+    _check_events(spark, sc, core, [("G", s, (a, b)) for s, a, b in batch])
+
+
+def _check_events(spark, sc, core, events):
+    """Feed one batch of ``(stream, sign, tuple)`` events, one per tuple,
+    to ``sc`` and ``core``: its delta set must equal the core engine's
+    net delta, and collecting it runs no Spark job."""
     net = Counter()
-    for s, a, b in batch:
-        for sg, t in core.apply(Update("G", (a, b), s > 0)):
-            net[t] += sg
-    sd = spark.createDataFrame(pd.DataFrame(batch, columns=["sign", "a", "b"]))
-    rows = sc.process_batch({"G": sd}).collect()
+    for stream, sign, t in events:
+        for sg, out in core.apply(Update(stream, t, sign > 0)):
+            net[out] += sg
+    arity = {r.stream: len(r.attrs) for r in sc.cq.relations}
+    frames = {
+        stream: local_frame(spark, [(sg, *t) for st, sg, t in events if st == stream],
+                            ["sign", *(f"v{i}" for i in range(n))])
+        for stream, n in arity.items()
+    }
+    out = sc.process_batch(frames)
+    assert out.columns == [*sc.cq.output, "sign"]
+    rows, jobs, _ = jobs_of(spark, out.collect)
+    assert jobs == 0
     got = {tuple(r[x] for x in sc.cq.output): r["sign"] for r in rows}
     assert len(got) == len(rows)
     assert got == {t: (1 if c > 0 else -1) for t, c in net.items() if c != 0}
@@ -180,12 +196,13 @@ def test_empty_key_semi_anti_are_lazy(spark):
     assert [p.count() for p in plans] == [3, 0, 0, 3]
 
 
-# A warm hop3_full batch runs about 14 Spark jobs: per touched node one
-# or two collects and one checkpoint, then the seeded enumeration. With
-# a broadcast semi-join per membership test it ran 36, and with
+# A warm hop3_full batch runs about 11 Spark jobs: per touched node one
+# or two collects and one checkpoint, then one collect per tree depth
+# for ΔQ. With the enumeration as a Spark plan of broadcast joins it ran
+# 14, with a broadcast semi-join per membership test 36, and with
 # per-node full-state work (re-deriving V_p, diffing two enumerations)
 # 100-126.
-WARM_BATCH_JOBS = 20
+WARM_BATCH_JOBS = 11
 
 
 def test_warm_batch_job_budget(spark):
@@ -212,16 +229,27 @@ def test_broadcast_fallback_matches_core_engine(spark, monkeypatch, factory):
             return fn(*args, **kw)
         return call
 
+    output_delta = SparkCrown._output_delta
+    in_output = []  # per batch: the joins its ΔQ fetches made
+
+    def spy_output(self, done):
+        n = len(joins)
+        out = output_delta(self, done)
+        in_output.append(len(joins) - n)
+        return out
+
     monkeypatch.setattr(crown_spark, "LITERAL_KEYS", 0)
     monkeypatch.setattr(crown_spark, "semi", spy(semi))
     monkeypatch.setattr(crown_spark, "anti", spy(anti))
+    monkeypatch.setattr(SparkCrown, "_output_delta", spy_output)
     cq = factory().cq
     sc = SparkCrown(spark, cq, best_tree(cq))
     core = CrownEngine(cq, sc.tree)
-    for batch in batched_graph_events(seed=hash(cq.name) % 100):
+    for batch in batched_graph_events(seed=zlib.crc32(cq.name.encode()) % 100):
         _check_batch(spark, sc, core, batch)
     _check_full_result(sc, core)
     assert {"semi", "anti"} <= set(joins)
+    assert all(in_output)
 
 
 R_S = CQ((Relation("R", ("A", "B")), Relation("S", ("B", "C"))), ("A", "B", "C"), name="r_s")
@@ -242,20 +270,49 @@ def test_tuples_holding_null_are_deleted(spark, monkeypatch, tree, limit):
         [("R", 1, (1, None))],
     ]
     for batch in batches:
-        net = Counter()
-        for stream, sign, t in batch:
-            for sg, out in core.apply(Update(stream, t, sign > 0)):
-                net[out] += sg
-        frames = {
-            rel.name: local_frame(spark, [(sg, *t) for st, sg, t in batch if st == rel.name],
-                                  ["sign", *rel.attrs])
-            for rel in R_S.relations
-        }
-        rows = sc.process_batch(frames).collect()
-        assert {(r["A"], r["B"], r["C"]): r["sign"] for r in rows} == {
-            t: (1 if c > 0 else -1) for t, c in net.items() if c != 0
-        }
+        _check_events(spark, sc, core, batch)
     _check_full_result(sc, core)
     r = sc.nodes[tree.relation_node("R")]
     assert [tuple(row)[:2] for row in r.rows().collect()] == [(1, None)]
     assert [tuple(row) for row in r.counts().collect()] == ([] if tree.root == "R" else [(None, 1)])
+
+
+@pytest.mark.parametrize("cq", BOOLEAN_QUERIES, ids=lambda cq: cq.name)
+def test_boolean_queries_match_core_engine(spark, cq):
+    """y = ∅, on every tree (its root capped with []): ΔQ is (+1) or (−1)
+    exactly when Q(D) becomes true or false, in a frame of one column."""
+    rng = random.Random(zlib.crc32(cq.name.encode()))
+    streams = sorted({r.stream for r in cq.relations})
+    for tree in free_connex_trees(cq):
+        sc = SparkCrown(spark, cq, tree)
+        core = CrownEngine(cq, tree)
+        live = set()
+        for _ in range(3):
+            events = {}
+            for _ in range(6):
+                e = (rng.choice(streams), (rng.randrange(2), rng.randrange(2)))
+                events[e] = -1 if e in live else 1
+            live ^= set(events)
+            _check_events(spark, sc, core, [(st, sg, t) for (st, t), sg in events.items()])
+        _check_full_result(sc, core)
+
+
+def test_stream_frame_is_collected_once(spark):
+    """The three atoms of hop3_full's self-join share one collect of the
+    stream: one job for a frame parallelized from a list, none for one
+    built from pandas."""
+    cq = hop3_full().cq
+    sc = SparkCrown(spark, cq, best_tree(cq))
+    edges = [(1, 1, 2), (1, 2, 3), (1, 3, 10), (-1, 4, 5)]
+    listed = spark.createDataFrame(edges, "sign long, a long, b long")
+    pandas = spark.createDataFrame(pd.DataFrame(edges, columns=["sign", "a", "b"]))
+    want = {
+        sc.tree.relation_node(r.name): {
+            (a, b): s for s, a, b in edges if all(p((a, b)) for p in cq.selections_on(r.name))
+        }
+        for r in cq.relations
+    }
+    assert len({len(b) for b in want.values()}) == 2  # one atom's selection drops edges
+    for frame, n in ((listed, 1), (pandas, 0)):
+        got, jobs, _ = jobs_of(spark, lambda: sc._batches({"G": frame}))
+        assert (got, jobs) == (want, n)
