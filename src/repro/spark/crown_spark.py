@@ -2,61 +2,68 @@
 
 The tuple-at-a-time algorithms of §4 vectorize per micro-batch.
 
-State. Every node of the free-connex generalized join tree keeps one
-checkpointed frame: its attribute columns plus a row kind ``_k`` and a
-value ``_v``.
+State. The whole tree's state is one checkpointed frame: a node index
+``_n``, the query's attribute columns (NULL where the node does not
+have the attribute), a row kind ``_k`` and a value ``_v``.
 
-- ``ROW``: a tuple of R_e, ``_v`` = 1 if it is in the semi-join view
-  V_s, else 0. A generalized node's R_e is virtual (the union of its
-  defining children's V_p's, Example 4.2), so it keeps its V_s rows only.
+- ``ROW``: a tuple of the node's R_e, ``_v`` = 1 if it is in the
+  semi-join view V_s, else 0. A generalized node's R_e is virtual (the
+  union of its defining children's V_p's, Example 4.2), so it keeps its
+  V_s rows only.
 - ``VP``: the counted V_p = π_key V_s: one row per key, ``_v`` = the
   number of V_s tuples that carry it (derivation counting, §4, at batch
   granularity). The node's other attribute columns are null.
-- ``DELTA``: the V_s delta d of the last batch that changed the node,
-  ``_v`` = its sign.
 
 Maintenance. A batch (one event per tuple) is pushed through the atom
-selections and propagated bottom-up. A node is re-evaluated only on its
-*candidates*: the batch's own tuples and the stored tuples under a
-child's changed key. What is batch-sized lives on the driver: the
-batch's tuples, each node's d, the V_p keys whose count crossed 0 and
-the tuples that climb to the root. A membership test against such a
-list is a literal predicate compiled on the driver — ``IN`` for one
-column, tuple ``IN`` for several, ``TRUE``/``FALSE`` for none. A key
-from another node (a child's key or V_p entry) holding a NULL matches
-nothing, as in a join; a node's own tuple holding one matches its
-stored copy (``<=>``). Only a list longer than
-``LITERAL_KEYS`` (a bulk load) is joined against instead, as a
-broadcast frame.
+selections and propagated bottom-up in rounds. A round holds every
+touched node whose touched children are done; for hop3_full's tree
+these are {G1, G3}, then {G2}, then the root. A node is re-evaluated
+only on its *candidates*: the batch's own tuples and the stored tuples
+under a child's changed key. What is batch-sized lives on the driver:
+the batch's tuples, each node's V_s delta d, the V_p keys whose count
+crossed 0 and the tuples that climb to the root. A membership test
+against such a list is a literal predicate compiled on the driver —
+``IN`` for one column, tuple ``IN`` for several, ``TRUE``/``FALSE`` for
+none. A key from another node (a child's key or V_p entry) holding a
+NULL matches nothing, as in a join; a node's own tuple holding one
+matches its stored copy (``<=>``).
 
-Per touched node, one collect fetches what the candidates need: the
-stored rows under the literal keys, the children's V_p entries and the
-node's own V_p counts. Where a candidate's key is not among the
-literals (it sits under a child's key that does not cover it), a second
-collect fetches those entries for the candidates the first one found.
-The driver then decides each candidate's old and new membership
-(formulae (3)/(4)) and moves the V_p counts by d; the keys whose count
-crosses 0 drive the parent. The node's next frame is its rows outside
-the literal keys plus the new rows, written on the driver; its
-checkpoint is the node's last action. No state frame is shuffled and no
-two views are ever joined.
+A round's fetch is one filter of the state frame, an OR of one term
+``_n = i AND _k = k AND <membership>`` per piece; a node's pieces are
+its stored rows under the literal keys, its own V_p counts and its
+children's V_p entries. That is one scan of one checkpoint: one Spark
+job of one task per partition. The rows come back tagged by
+``(_n, _k)``. Where a candidate's key is not among the literals (it
+sits under a child's key that does not cover it), a second, late fetch
+in the round brings those entries for the candidates the first one
+found. Every fetch reads the checkpoint of the batch's start, and the
+driver overlays what the batch's earlier rounds rewrote. The driver
+decides each candidate's old and new membership (formulae (3)/(4)) and
+moves the V_p counts by d; the keys whose count crosses 0 drive the
+parent. After the last round, one checkpoint writes the batch: the old
+state outside every rewritten key, plus one local frame of all new rows
+and counts. Only a key list longer than ``LITERAL_KEYS`` (a bulk load)
+is joined against instead, as a broadcast frame. No state frame is
+shuffled and no two views are ever joined.
 
 Output. ΔQ is enumerated on the driver, top-down from the root tuples
 above a changed V_s tuple (Lemma 5.1/5.3: output-proportional). The
 tuples of d are climbed to the root while the nodes are maintained —
 each node's fetch also brings its stored tuples under a child's
-climbing tuples — and seed the pass. One collect per tree depth fetches
-the weighted rows it needs: the root's rows under the seeds together
-with depth 1's rows under the seeds' keys, then each deeper node's rows
-under the keys of the partial results joined so far. A row of V_s
-counts (1, 1) as old/new derivation weights and a row of d (−sign, 0),
-so a tuple's weights sum to its old and new membership; d counts only
-at a node it changed in this batch, since a node keeps the d of the
-last batch that changed it. The driver joins level by level on the
-node keys, multiplies the weights, sums them per output tuple, and
-keeps the non-zero signs [Σ _n > 0] − [Σ _o > 0]. The result is a local
-frame: collecting it runs no Spark job. ``full_result`` is state-sized
-and stays a Spark plan of top-down joins.
+climbing tuples — and seed the pass. One fetch per tree depth brings
+the V_s rows it needs, from the new checkpoint: the root's rows under
+the seeds together with depth 1's rows under the seeds' keys, then each
+deeper node's rows under the keys of the partial results joined so
+far. A V_s row counts (1, 1) as old/new derivation weights and a tuple
+of the node's d, which stays on the driver, (−sign, 0), so a tuple's
+weights sum to its old and new membership. The driver joins level by
+level on the node keys, multiplies the weights, sums them per output
+tuple, and keeps the non-zero signs [Σ _n > 0] − [Σ _o > 0]. The result
+is a local frame: collecting it runs no Spark job. ``full_result`` is
+state-sized and stays a Spark plan of top-down joins.
+
+A warm hop3_full batch thus runs 7 Spark jobs: 3 rounds, 1 late fetch,
+1 checkpoint and 2 ΔQ fetches. ``actions`` counts the last batch's.
 
 This is the foreachBatch-equivalent of a Structured Streaming job,
 driven synchronously for deterministic tests (DESIGN.md § layering).
@@ -64,7 +71,7 @@ driven synchronously for deterministic tests (DESIGN.md § layering).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Generator, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -77,11 +84,11 @@ from repro.spark.state import (
     anti, checkpoint, empty_df, local_frame, selection_filters, semi,
 )
 
-# row kinds of a node frame (column ``_k``)
-ROW, VP, DELTA = 0, 1, 2
-# tags of a node's fetched rows (column ``_k`` of a fetch); a child's
-# V_p entries carry the child's index
-OWN_ROW, OWN_VP = -1, -2
+# row kinds of the state frame (column ``_k``)
+ROW, VP = 0, 1
+# a kind that is only fetched: the ROW rows in V_s
+VS = 2
+KIND_SQL = {ROW: f"_k = {ROW}", VP: f"_k = {VP}", VS: f"_k = {ROW} AND _v = 1"}
 # A literal list longer than this is joined against as a broadcast
 # frame. Filtering a 20K-row frame (local[4], median of 5) took, literal
 # vs broadcast: 1 column, 1,000 keys 64 vs 96 ms, 10,000 keys 227 vs
@@ -90,6 +97,12 @@ OWN_ROW, OWN_VP = -1, -2
 LITERAL_KEYS = 500
 
 Keys = dict[tuple[str, ...], set[tuple]]  # column tuple -> its literal keys
+# (node, kind, columns, keys): the node's rows of that kind whose columns
+# are among the keys
+Piece = tuple[str, int, tuple[str, ...], set[tuple]]
+# a fetch's rows: (node, stored kind) -> each row on the node's columns
+# of that kind -> its ``_v``
+Got = dict[tuple[str, int], dict[tuple, int]]
 
 
 def _union(frames: list[DataFrame]) -> DataFrame:
@@ -98,6 +111,10 @@ def _union(frames: list[DataFrame]) -> DataFrame:
 
 def _quoted(cols: Iterable[str]) -> list[str]:
     return [f"`{c}`" for c in cols]
+
+
+def _stored(kind: int) -> int:
+    return ROW if kind == VS else kind
 
 
 def _summed(rows: Iterable[tuple[tuple, int, int]]) -> dict[tuple, tuple[int, int]]:
@@ -145,15 +162,22 @@ def _member(cols: Sequence[str], keys: list[tuple]) -> str:
 @dataclass
 class _NodeState:
     name: str
+    index: int  # its ``_n`` in the state frame
     attrs: list[str]
     key: list[str]
     children: list[str]
     is_gen: bool
-    frame: DataFrame  # checkpointed; see the module docstring
+    crown: SparkCrown = field(repr=False)
+    # kind -> the places of the node's columns of that kind in a state row
+    slots: dict[int, list[int]] = field(default_factory=dict)
     keys: set[tuple] = field(default_factory=set)  # V_p keys that crossed 0 last
 
+    def cols(self, kind: int) -> list[str]:
+        """The columns of the node's rows of ``kind``."""
+        return self.key if kind == VP else self.attrs
+
     def kind(self, k: int) -> DataFrame:
-        return self.frame.filter(f"_k = {k}")
+        return self.crown.state.filter(f"_n = {self.index} AND _k = {k}")
 
     def rows(self) -> DataFrame:
         return self.kind(ROW).select(*self.attrs, "_v")
@@ -170,7 +194,7 @@ class _NodeState:
     def changed_keys(self) -> DataFrame:
         """The V_p keys whose count crossed 0 in the last batch that
         touched the node."""
-        return local_frame(self.frame.sparkSession, list(self.keys), self.key)
+        return local_frame(self.crown.spark, list(self.keys), self.key)
 
 
 @dataclass
@@ -187,7 +211,9 @@ class SparkCrown:
 
     ``stats`` describes the last batch: for each node it re-evaluated,
     the number of candidates, of V_s delta tuples and of V_p keys whose
-    count crossed 0.
+    count crossed 0. ``actions`` counts the last batch's Spark actions
+    by kind: ``fetch`` (maintenance rounds), ``checkpoint`` and
+    ``enumerate`` (ΔQ's fetches).
     """
 
     def __init__(
@@ -205,20 +231,29 @@ class SparkCrown:
         # a passed map replaces the filters compiled from ``cq.where``
         self.atom_filters = atom_filters if atom_filters is not None else selection_filters(cq)
         self.nodes: dict[str, _NodeState] = {}
-        for name in self.tree.postorder():
+        for i, name in enumerate(self.tree.postorder()):
             tn = self.tree.node(name)
-            attrs = list(tn.attrs)
             self.nodes[name] = _NodeState(
                 name=name,
-                attrs=attrs,
+                index=i,
+                attrs=list(tn.attrs),
                 key=list(self.tree.key(name)),
                 children=list(tn.children),
                 is_gen=tn.is_generalized,
-                frame=empty_df(spark, attrs + ["_k", "_v"]),
+                crown=self,
             )
-        # a node frame is a union of pieces; coalescing it before the
+        self.by_index = list(self.nodes.values())
+        self.cols = list(dict.fromkeys(a for n in self.by_index for a in n.attrs))
+        for node in self.by_index:
+            node.slots = {k: [1 + self.cols.index(c) for c in node.cols(k)] for k in (ROW, VP)}
+        self.state = empty_df(spark, ["_n", *self.cols, "_k", "_v"])
+        # the state frame is a union of pieces; coalescing it before the
         # checkpoint keeps its partition count from growing per batch
         self.partitions = spark.sparkContext.defaultParallelism
+        # what the batch's rounds rewrote so far: the rows that give way,
+        # and the new rows per (node, kind)
+        self._drop: list[Piece] = []
+        self._add: Got = defaultdict(dict)
         # ΔQ's fetches: the nodes one tree depth at a time, the root with
         # depth 1
         levels = [[self.tree.root]]
@@ -227,6 +262,7 @@ class SparkCrown:
         self.fetches = [sum(levels[:2], []), *levels[2:]]
         self.batches = 0
         self.stats: dict[str, dict[str, int]] = {}
+        self.actions: Counter[str] = Counter()
 
     # ------------------------------------------------------------------
     def process_batch(
@@ -238,17 +274,27 @@ class SparkCrown:
         the stream's value columns, already compacted: one event per
         tuple, the last one in the batch.
         """
-        self.stats = {}
-        batches = self._batches(stream_deltas)
+        self.stats, self.actions = {}, Counter()
+        batches = {n: b for n, b in self._batches(stream_deltas).items() if b}
+        # the nodes the batch may touch: its relation nodes and their
+        # ancestors, bottom-up
+        up: set[str] = set()
+        for name in batches:
+            while name is not None and name not in up:
+                up.add(name)
+                name = self.tree.node(name).parent
+        left = [n for n in self.tree.postorder() if n in up]
         done: dict[str, _Change] = {}  # nodes with affected tuples
-        for name in self.tree.postorder():
-            batch = batches.get(name, {})
-            kids = {c: done[c] for c in self.nodes[name].children if c in done}
-            if not batch and not kids:
-                continue
-            change = self._maintain(self.nodes[name], batch, kids)
-            if change.affected:
-                done[name] = change
+        while left:
+            ready = [n for n in left if not set(self.nodes[n].children) & set(left)]
+            left = [n for n in left if n not in ready]
+            steps = {}
+            for name in ready:
+                kids = {c: done[c] for c in self.nodes[name].children if c in done}
+                if name in batches or kids:
+                    steps[name] = self._maintain(self.nodes[name], batches.get(name, {}), kids)
+            done.update((n, ch) for n, ch in self._round(steps).items() if ch.affected)
+        self._checkpoint()
         self.batches += 1
         return self._output_delta(done)
 
@@ -274,54 +320,96 @@ class SparkCrown:
             out[name] = {tuple(r[1:]): r[0] for r in got}
         return out
 
-    def _filter(self, df: DataFrame, cols: Sequence[str], keys: Iterable[tuple],
-                keep: bool) -> DataFrame:
-        """The rows of ``df`` whose ``cols`` are (``keep``) or are not
-        among the driver-side ``keys``. A NULL in a key matches a NULL:
-        a node's own tuples are matched against their stored copies.
-        Keys from another node go through ``_non_null`` first."""
-        keys = list(keys)
-        if not cols or not keys:
-            return df if bool(keys) == keep else df.filter("false")
-        if len(keys) <= LITERAL_KEYS:
-            pred = _member(cols, keys)
-            return df.filter(pred if keep else f"NOT {pred}")
-        small = local_frame(self.spark, keys, list(cols))
-        if all(None not in k for k in keys):
-            return (semi if keep else anti)(df, small, list(cols))
-        small = small.toDF(*(f"_{c}" for c in cols))
-        on = reduce(Column.__and__, (df[c].eqNullSafe(small[f"_{c}"]) for c in cols))
-        return df.join(F.broadcast(small), on, "left_semi" if keep else "left_anti")
+    # ------------------------------------------------------------------
+    # pieces: SQL terms, their driver-side twins and the broadcast fallback
+
+    def _term(self, piece: Piece) -> str:
+        name, kind, cols, keys = piece
+        term = f"_n = {self.nodes[name].index} AND {KIND_SQL[kind]}"
+        return f"({term} AND {_member(cols, list(keys))})" if cols else f"({term})"
+
+    def _matcher(self, piece: Piece) -> Callable[[tuple, int], bool]:
+        """``piece`` as a test of one of its node's rows (a tuple on the
+        node's columns, and its ``_v``): the driver's twin of its term."""
+        name, kind, cols, keys = piece
+        to = _proj(self.nodes[name].cols(kind), cols)
+        return lambda t, v: (kind != VS or v == 1) and to(t) in keys
 
     @staticmethod
-    def _fetch(pieces: list[tuple[Hashable, Sequence[str], DataFrame]]
-               ) -> dict[Hashable, dict[tuple, int]]:
-        """One action for ``pieces`` (tag, columns, frame of some of those
-        columns and ``_v``): per tag, each row on its columns (NULL where
-        the frame has none) and its ``_v``."""
-        out: dict[Hashable, dict[tuple, int]] = defaultdict(dict)
-        if not pieces:
-            return out
-        widths = {tag: len(cols) for tag, cols, _ in pieces}
-        tags, width = list(widths), max(widths.values())
-        frames = []
-        for tag, cols, df in pieces:
-            have = set(df.columns)
-            frames.append(df.selectExpr(
-                *[f"`{a}` AS _c{i}" if a in have else f"CAST(NULL AS BIGINT) AS _c{i}"
-                  for i, a in enumerate(cols)],
-                *[f"CAST(NULL AS BIGINT) AS _c{i}" for i in range(len(cols), width)],
-                f"{tags.index(tag)}L AS _t", "CAST(_v AS BIGINT) AS _v",
-            ))
-        for r in _union(frames).collect():
-            tag = tags[r[width]]
-            out[tag][tuple(r[:widths[tag]])] = r[width + 1]
+    def _split(pieces: list[Piece]) -> tuple[list[Piece], list[Piece]]:
+        """The pieces that match a row, split into those tested by a
+        literal predicate and those longer than ``LITERAL_KEYS``."""
+        pieces = [p for p in pieces if p[3]]
+        return ([p for p in pieces if len(p[3]) <= LITERAL_KEYS],
+                [p for p in pieces if len(p[3]) > LITERAL_KEYS])
+
+    def _join(self, df: DataFrame, piece: Piece, keep: bool) -> DataFrame:
+        """The rows of ``df`` that ``piece`` matches (``keep``) or does
+        not, by a broadcast join against its keys tagged with the node
+        index and kind. A NULL in a key matches a NULL: a node's own
+        tuples are matched against their stored copies."""
+        name, kind, cols, keys = piece
+        on = ["_n", "_k", *cols]
+        at = (self.nodes[name].index, _stored(kind))
+        small = local_frame(self.spark, [(*at, *k) for k in keys], on)
+        if all(None not in k for k in keys):
+            # a join on column names puts them first
+            return (semi if keep else anti)(df, small, on).select(df.columns)
+        small = small.toDF(*(f"_{c}" for c in on))
+        cond = reduce(Column.__and__, (df[c].eqNullSafe(small[f"_{c}"]) for c in on))
+        return df.join(F.broadcast(small), cond, "left_semi" if keep else "left_anti")
+
+    def _fetch(self, pieces: list[Piece], action: str) -> Got:
+        """One Spark action for ``pieces``, a scan of the state frame:
+        per (node, stored kind), each matched row on the node's columns
+        of that kind, with its ``_v``. The rows that the batch's earlier
+        rounds rewrote are overlaid from the driver."""
+        out: Got = defaultdict(dict)
+        lits, big = self._split(pieces)
+        if lits or big:
+            parts = [self.state.filter(" OR ".join(map(self._term, lits)))] if lits else []
+            parts += [self._join(self.state.filter("_v = 1") if p[1] == VS else self.state, p, True)
+                      for p in big]
+            for r in _union(parts).collect():
+                node, k = self.by_index[r[0]], r[-2]
+                out[(node.name, k)][tuple(r[i] for i in node.slots[k])] = r[-1]
+            self.actions[action] += 1
+        for tag in {(p[0], _stored(p[1])) for p in pieces}:
+            drops = [self._matcher(p) for p in self._drop if (p[0], p[1]) == tag]
+            if not drops:
+                continue
+            wants = [self._matcher(p) for p in pieces if (p[0], _stored(p[1])) == tag]
+            rows = out[tag]
+            for t in [t for t, v in rows.items() if any(m(t, v) for m in drops)]:
+                del rows[t]
+            rows.update((t, v) for t, v in self._add[tag].items() if any(m(t, v) for m in wants))
         return out
 
-    def _maintain(self, node: _NodeState, batch: dict[tuple, int],
-                  kids: dict[str, _Change]) -> _Change:
-        """Re-evaluate ``node`` on its candidates, write its next frame,
-        and return its delta, crossed keys and affected tuples."""
+    # ------------------------------------------------------------------
+    def _round(self, steps: dict[str, Generator[list[Piece], Got, _Change]]
+               ) -> dict[str, _Change]:
+        """Run the nodes' maintenance side by side: at each step, what
+        every node asks for is one fetch."""
+        out: dict[str, _Change] = {}
+        got: Got = defaultdict(dict)
+        asks = {n: next(g) for n, g in steps.items()}
+        while asks:
+            got.update(self._fetch([p for ps in asks.values() for p in ps], "fetch"))
+            later = {}
+            for n in asks:
+                try:
+                    later[n] = steps[n].send(got)
+                except StopIteration as stop:
+                    out[n] = stop.value
+            asks = later
+        return out
+
+    def _maintain(self, node: _NodeState, batch: dict[tuple, int], kids: dict[str, _Change]
+                  ) -> Generator[list[Piece], Got, _Change]:
+        """Re-evaluate ``node`` on its candidates, stage its rewrite for
+        the batch's checkpoint, and return its delta, crossed keys and
+        affected tuples. It yields the pieces it needs fetched, and is
+        sent the round's fetched rows."""
         attrs, full, root = node.attrs, set(node.attrs), node.name == self.tree.root
         children = [self.nodes[c] for c in node.children]
         # the candidates: the tuples under some literal keys, per column
@@ -340,45 +428,35 @@ class SparkCrown:
                 up = _proj(c.attrs, c.key)
                 row_keys[tuple(c.key)] |= _non_null(map(up, kids[c.name].affected))
 
-        # the V_p entries the candidates need: each child's, and the
-        # node's own counts but at the root
-        frames = {i: (c.counts(), c.key) for i, c in enumerate(children)}
-        if not root:
-            frames[OWN_VP] = (node.counts(), node.key)
-        pieces = [(OWN_ROW, attrs, self._filter(node.rows(), cols, ks, True))
-                  for cols, ks in row_keys.items()]
+        # the V_p entries the candidates need: each child's, where a NULL
+        # matches nothing, and the node's own but at the root
+        vps = [(c, _non_null) for c in children] + ([] if root else [(node, set)])
+        pieces = [(node.name, ROW, cols, ks) for cols, ks in row_keys.items()]
         late = []
-        for tag, (df, key) in frames.items() if cand_keys else ():
-            if set(key) == full:
+        for v, sure in vps if cand_keys else ():
+            if set(v.key) == full:
                 lits = list(cand_keys.items())
-            elif all(set(key) <= set(cols) for cols in cand_keys):
-                lits = [(key, {_proj(cols, key)(k) for cols, ks in cand_keys.items() for k in ks})]
+            elif all(set(v.key) <= set(cols) for cols in cand_keys):
+                lits = [(tuple(v.key),
+                         {_proj(cols, v.key)(k) for cols, ks in cand_keys.items() for k in ks})]
             else:
-                late.append(tag)
+                late.append((v, sure))
                 continue
-            # a child's V_p belongs to another node: there a NULL matches nothing
-            pieces += [(tag, attrs, self._filter(df, cols, ks if tag == OWN_VP else _non_null(ks),
-                                                 True))
-                       for cols, ks in lits]
-        got = self._fetch(pieces)
+            pieces += [(v.name, VP, cols, sure(ks)) for cols, ks in lits]
+        got = yield pieces
 
-        stored = got[OWN_ROW]
+        stored = got[(node.name, ROW)]
         tests = [(_proj(attrs, cols), ks) for cols, ks in cand_keys.items()]
         was = {t: v for t, v in stored.items() if any(p(t) in ks for p, ks in tests)}
         cands = set(batch) | set(was)
         if node.is_gen:
             # R_e is virtual: the defining children's V_p tuples
-            cands |= {t for i, c in enumerate(children) if set(c.key) == full for t in got[i]}
+            cands |= {_proj(c.key, attrs)(k) for c in children if set(c.key) == full
+                      for k in got[(c.name, VP)]}
         if late and cands:
-            pieces = []
-            for tag in late:
-                df, key = frames[tag]
-                lit = set(map(_proj(attrs, key), cands))
-                lit = lit if tag == OWN_VP else _non_null(lit)
-                pieces.append((tag, attrs, self._filter(df, key, lit, True)))
-            got.update(self._fetch(pieces))
-        projs = [_proj(attrs, c.key) for c in children]
-        held = [(p, set(map(p, got[i]))) for i, p in enumerate(projs)]
+            got = yield [(v.name, VP, tuple(v.key), sure(set(map(_proj(attrs, v.key), cands))))
+                         for v, sure in late]
+        held = [(_proj(attrs, c.key), set(got[(c.name, VP)])) for c in children]
 
         # formulae (3)/(4): in the new V_s iff in R_e and every child's
         # V_p holds the tuple's key
@@ -397,7 +475,7 @@ class SparkCrown:
         counts: dict[tuple, int] = {}
         if d and not root:
             to_key = _proj(attrs, node.key)
-            before = {to_key(t): v for t, v in got[OWN_VP].items()}
+            before = got[(node.name, VP)]
             moved = Counter()
             for t, s in d.items():
                 moved[to_key(t)] += s
@@ -406,7 +484,7 @@ class SparkCrown:
                 if (before.get(k, 0) > 0) != (counts[k] > 0):
                     keys.add(k)
         if d or any(new_rows.get(t) != was.get(t) for t in cands):
-            self._write(node, cand_keys, new_rows, counts, d)
+            self._stage(node, cand_keys, new_rows, counts)
         node.keys = keys
         self.stats[node.name] = {"candidates": len(cands), "delta": len(d),
                                  "changed_keys": len(keys)}
@@ -423,27 +501,41 @@ class SparkCrown:
                 affected |= {t for t, v in stored.items() if v == 1 and up(t) in ks}
         return _Change(d, keys, affected)
 
-    def _write(self, node: _NodeState, cand_keys: Keys, new_rows: dict[tuple, int],
-               counts: dict[tuple, int], d: dict[tuple, int]) -> None:
-        """Checkpoint the node's next frame: its rows outside the
-        candidates' keys and its V_p outside the moved keys, then the
-        candidates' new rows, the moved counts and d, from the driver."""
-        kept = node.kind(ROW)
-        for cols, ks in cand_keys.items():
-            kept = self._filter(kept, cols, ks, False)
-        parts = [kept]
-        pad = [None] * (len(node.attrs) - len(node.key))
-        lit = [(*t, ROW, v) for t, v in new_rows.items()] + [(*t, DELTA, s) for t, s in d.items()]
+    def _stage(self, node: _NodeState, cand_keys: Keys, new_rows: dict[tuple, int],
+               counts: dict[tuple, int]) -> None:
+        """Queue the node's rewrite for the batch's checkpoint: its rows
+        under the candidates' keys and its V_p under the moved keys give
+        way to the candidates' new rows and the moved counts."""
+        self._drop += [(node.name, ROW, cols, ks) for cols, ks in cand_keys.items()]
+        self._add[(node.name, ROW)].update(new_rows)
         if counts:
-            parts.append(self._filter(node.kind(VP), node.key, counts, False))
-            order = node.key + [a for a in node.attrs if a not in node.key]
-            to_attrs = _proj(order, node.attrs)
-            lit += [(*to_attrs(k + tuple(pad)), VP, n) for k, n in counts.items() if n > 0]
-        elif node.name != self.tree.root:
-            parts.append(node.kind(VP))
-        if lit:
-            parts.append(local_frame(self.spark, lit, node.attrs + ["_k", "_v"]))
-        node.frame = checkpoint(_union(parts).coalesce(self.partitions))
+            self._drop.append((node.name, VP, tuple(node.key), set(counts)))
+            self._add[(node.name, VP)].update((k, n) for k, n in counts.items() if n > 0)
+
+    def _checkpoint(self) -> None:
+        """Write the batch: the state outside every rewritten key, then
+        all new rows and counts as one local frame, checkpointed."""
+        if not self._drop:
+            return
+        lits, big = self._split(self._drop)
+        kept = self.state
+        if lits:
+            kept = kept.filter(f"NOT ({' OR '.join(map(self._term, lits))})")
+        for p in big:
+            kept = self._join(kept, p, False)
+        rows = []
+        for (name, kind), got in self._add.items():
+            node = self.nodes[name]
+            for t, v in got.items():
+                row = [None] * len(self.cols)
+                for i, x in zip(node.slots[kind], t):
+                    row[i - 1] = x
+                rows.append((node.index, *row, kind, v))
+        if rows:
+            kept = kept.unionByName(local_frame(self.spark, rows, self.state.columns))
+        self.state = checkpoint(kept.coalesce(self.partitions))
+        self.actions["checkpoint"] += 1
+        self._drop, self._add = [], defaultdict(dict)
 
     # ------------------------------------------------------------------
     def _output_delta(self, done: dict[str, _Change]) -> DataFrame:
@@ -460,26 +552,26 @@ class SparkCrown:
         for names in self.fetches:
             if not acc:
                 break
-            pieces = []
+            pieces = {}
             for name in names:
                 node = self.nodes[name]
                 if node is root:  # its own tuples: a NULL matches a NULL
-                    pieces.append(self._weighted_rows(node, cols, acc, done))
+                    pieces[name] = (name, VS, tuple(cols), set(acc))
                 else:
                     keys = _non_null(map(_proj(cols, node.key), acc))
-                    pieces.append(self._weighted_rows(node, node.key, keys, done))
-            got = self._fetch(pieces)
+                    pieces[name] = (name, VS, tuple(node.key), keys)
+            got = self._fetch(list(pieces.values()), "enumerate")
             for name in names:
                 node = self.nodes[name]
                 later.remove(name)
                 if node is root:
-                    acc = self._weights(got, node, cols)
+                    acc = self._weights(got, pieces[name], done, cols)
                     continue
                 # keep y and the keys of the nodes still to join
                 need = set(y).union(*(self.nodes[n].key for n in later))
                 extra = [a for a in node.attrs if a in need and a not in node.key]
                 side: dict[tuple, list] = defaultdict(list)
-                for t, w in self._weights(got, node, node.key + extra).items():
+                for t, w in self._weights(got, pieces[name], done, node.key + extra).items():
                     side[t[:len(node.key)]].append((t[len(node.key):], w))
                 on, kept = _proj(cols, node.key), [c for c in cols if c in need]
                 keep = _proj(cols, kept)
@@ -494,26 +586,20 @@ class SparkCrown:
         frame = local_frame(self.spark, rows, [*y, "sign"])
         return frame if self.post_filter is None else frame.filter(self.post_filter)
 
-    def _weighted_rows(self, node: _NodeState, cols: Sequence[str], keys: Iterable[tuple],
-                       done: dict[str, _Change]) -> tuple[str, list[str], DataFrame]:
-        """A ``_fetch`` piece: the node's V_s rows and, if the batch
-        changed it, its d rows, whose ``cols`` are among ``keys``; each
-        row on the node's attributes and its kind ``_k``."""
-        kinds = f"_k = {ROW} AND _v = 1"
-        if node.name in done and done[node.name].d:
-            kinds += f" OR _k = {DELTA}"
-        rows = self._filter(node.frame.filter(kinds), cols, keys, True)
-        return node.name, [*node.attrs, "_k"], rows
-
-    @staticmethod
-    def _weights(got: dict[Hashable, dict[tuple, int]], node: _NodeState,
+    def _weights(self, got: Got, piece: Piece, done: dict[str, _Change],
                  cols: Sequence[str]) -> dict[tuple, tuple[int, int]]:
-        """The node's fetched rows projected onto ``cols``, with summed
-        old/new derivation weights: a V_s row counts (1, 1), a row of d
-        (−sign, 0)."""
+        """The node's V_s rows that ``piece`` fetched, and the tuples of
+        its d that the piece matches, projected onto ``cols``, with
+        summed old/new derivation weights: a V_s row counts (1, 1), a
+        tuple of d (−sign, 0)."""
+        name, _, on, keys = piece
+        node = self.nodes[name]
         to = _proj(node.attrs, cols)
-        return _summed((to(t[:-1]), 1, 1) if t[-1] == ROW else (to(t[:-1]), -v, 0)
-                       for t, v in got[node.name].items())
+        rows = [(to(t), 1, 1) for t in got[(name, ROW)]]
+        if name in done:
+            hit = self._matcher((name, ROW, on, keys))
+            rows += [(to(t), -s, 0) for t, s in done[name].d.items() if hit(t, s)]
+        return _summed(rows)
 
     def _below_keys(self, name: str) -> set[str]:
         """Attrs of ``name`` needed as join keys by its children."""
@@ -541,6 +627,7 @@ class SparkCrown:
         return out
 
     def state_rows(self) -> int:
-        """Every stored row — R_e (V_s is a flag on it), the counted V_p
-        and the last V_s delta — which stays linear in |D| (Lemma 4.1)."""
-        return sum(s.frame.count() for s in self.nodes.values())
+        """Every stored row — R_e (V_s is a flag on it) and the counted
+        V_p — which stays linear in |D| (Lemma 4.1). One count of the
+        state frame."""
+        return self.state.count()

@@ -110,8 +110,9 @@ def check_full_result(eng) -> set:
 
 
 def jobs_of(spark, fn):
-    """``fn()`` with the number of Spark jobs and stages it ran, read from
-    the status tracker under a job group of its own. The group name is
+    """``fn()`` with the number of Spark jobs, stages and tasks it ran,
+    read from the status tracker under a job group of its own. The tasks
+    are the sum of ``numTasks`` over each job's stages. The group name is
     fresh per call: one built from ``id(fn)`` is reused once ``fn`` is
     freed, and the status tracker would add the earlier call's jobs."""
     ctx = spark.sparkContext
@@ -126,5 +127,6 @@ def jobs_of(spark, fn):
     ctx._jsc.sc().listenerBus().waitUntilEmpty()
     tracker = ctx.statusTracker()
     jobs = tracker.getJobIdsForGroup(group)
-    stages = sum(len(tracker.getJobInfo(j).stageIds) for j in jobs)
-    return out, len(jobs), stages
+    stage_ids = [s for j in jobs for s in tracker.getJobInfo(j).stageIds]
+    tasks = sum(tracker.getStageInfo(s).numTasks for s in stage_ids)
+    return out, len(jobs), len(stage_ids), tasks

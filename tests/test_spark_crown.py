@@ -94,7 +94,9 @@ def _check_batch(spark, sc, core, batch):
 def _check_events(spark, sc, core, events):
     """Feed one batch of ``(stream, sign, tuple)`` events, one per tuple,
     to ``sc`` and ``core``: its delta set must equal the core engine's
-    net delta, and collecting it runs no Spark job."""
+    net delta, and collecting it runs no Spark job. On the literal path
+    ``sc.actions`` counts every job the batch ran (a broadcast join runs
+    jobs of its own)."""
     net = Counter()
     for stream, sign, t in events:
         for sg, out in core.apply(Update(stream, t, sign > 0)):
@@ -105,9 +107,11 @@ def _check_events(spark, sc, core, events):
                             ["sign", *(f"v{i}" for i in range(n))])
         for stream, n in arity.items()
     }
-    out = sc.process_batch(frames)
+    out, jobs, *_ = jobs_of(spark, lambda: sc.process_batch(frames))
+    if crown_spark.LITERAL_KEYS:
+        assert sum(sc.actions.values()) == jobs
     assert out.columns == [*sc.cq.output, "sign"]
-    rows, jobs, _ = jobs_of(spark, out.collect)
+    rows, jobs, *_ = jobs_of(spark, out.collect)
     assert jobs == 0
     got = {tuple(r[x] for x in sc.cq.output): r["sign"] for r in rows}
     assert len(got) == len(rows)
@@ -189,20 +193,22 @@ def test_empty_key_semi_anti_are_lazy(spark):
     row when the plan runs, not while it is built."""
     df = spark.range(3).toDF("a")
     none = df.filter("a < 0")
-    plans, jobs, _ = jobs_of(spark, lambda: [
+    plans, jobs, *_ = jobs_of(spark, lambda: [
         semi(df, df, []), semi(df, none, []), anti(df, df, []), anti(df, none, []),
     ])
     assert jobs == 0
     assert [p.count() for p in plans] == [3, 0, 0, 3]
 
 
-# A warm hop3_full batch runs about 11 Spark jobs: per touched node one
-# or two collects and one checkpoint, then one collect per tree depth
-# for ΔQ. With the enumeration as a Spark plan of broadcast joins it ran
-# 14, with a broadcast semi-join per membership test 36, and with
-# per-node full-state work (re-deriving V_p, diffing two enumerations)
-# 100-126.
-WARM_BATCH_JOBS = 11
+# A warm hop3_full batch runs 7 Spark jobs: 3 maintenance rounds
+# ({G1, G3}, {G2}, the root), 1 late fetch at G2, 1 checkpoint and 2 ΔQ
+# fetches, each one scan of the one state frame, so one task per
+# partition. With a checkpointed frame per node and one scan per fetched
+# piece it ran 11 jobs and 76 tasks; with the enumeration as a Spark
+# plan of broadcast joins 14 jobs, with a broadcast semi-join per
+# membership test 36, and with per-node full-state work (re-deriving
+# V_p, diffing two enumerations) 100-126.
+WARM_BATCH_JOBS = 7
 
 
 def test_warm_batch_job_budget(spark):
@@ -213,8 +219,13 @@ def test_warm_batch_job_budget(spark):
         for b in batched_graph_events(n_batches=2, per_batch=25, seed=3)
     )
     sc.process_batch({"G": cold}).collect()
-    _, jobs, _ = jobs_of(spark, lambda: sc.process_batch({"G": warm}).collect())
+    _, jobs, _, tasks = jobs_of(spark, lambda: sc.process_batch({"G": warm}).collect())
     assert 0 < jobs <= WARM_BATCH_JOBS
+    # one scan of a state frame of ``partitions`` partitions per job: a
+    # fetch that scans once per piece runs more
+    assert tasks <= jobs * sc.partitions
+    assert sum(sc.actions.values()) == jobs
+    assert sc.actions["checkpoint"] == 1
 
 
 @pytest.mark.parametrize("factory", [hop3_full, hop3_proj, star], ids=lambda f: f.__name__)
@@ -314,5 +325,5 @@ def test_stream_frame_is_collected_once(spark):
     }
     assert len({len(b) for b in want.values()}) == 2  # one atom's selection drops edges
     for frame, n in ((listed, 1), (pandas, 0)):
-        got, jobs, _ = jobs_of(spark, lambda: sc._batches({"G": frame}))
+        got, jobs, *_ = jobs_of(spark, lambda: sc._batches({"G": frame}))
         assert (got, jobs) == (want, n)

@@ -77,7 +77,7 @@ def test_run_stream_is_one_job_one_stage(spark):
     pc = PartitionedCrown(spark, bq.cq, p=4, tree=best_tree(bq.cq))
     updates = make_stream(n=40)
     pc.run_stream(updates)  # the first call starts the workers
-    res, jobs, stages = jobs_of(spark, lambda: pc.run_stream(updates))
+    res, jobs, stages, _ = jobs_of(spark, lambda: pc.run_stream(updates))
     assert (jobs, stages) == (1, 1)
     assert len(res) == 4
 
