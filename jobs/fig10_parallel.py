@@ -8,7 +8,7 @@ import time
 
 import _common as common
 
-from repro.bench.harness import print_table, stream_pdf
+from repro.bench.harness import compacted_batches, print_table, stream_pdf
 from repro.bench.queries import hop4_proj
 from repro.cq.join_tree import best_tree
 
@@ -42,8 +42,7 @@ def main() -> None:
     from repro.spark.hivm_spark import SparkFirstOrderHIVM
 
     nb = 300 if args.quick else 1000
-    chunk = updates.head(nb)
-    batches = [chunk.iloc[i::4] for i in range(4)]
+    batches = compacted_batches(updates.head(nb), 4)
     for name, engine in (
         ("spark_cp(flink)", SparkStandardCP),
         ("spark_hivm(dbtoaster)", SparkFirstOrderHIVM),

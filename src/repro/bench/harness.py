@@ -69,6 +69,16 @@ def stream_pdf(n, dom, seed=3):
     return pd.DataFrame(rows, columns=["seq", "stream", "sign", "v0", "v1"])
 
 
+def compacted_batches(pdf: pd.DataFrame, n: int) -> list[pd.DataFrame]:
+    """``pdf``'s events (a ``stream_pdf`` frame) in ``n`` contiguous
+    batches, each holding one event per tuple, its last in the batch:
+    applied in order with set semantics, they leave the stream's final
+    tuples."""
+    size = -(-len(pdf) // n)
+    return [pdf.iloc[i:i + size].drop_duplicates(["stream", "v0", "v1"], keep="last")
+            for i in range(0, len(pdf), size)]
+
+
 def vertex_rows(pdf: pd.DataFrame) -> list[tuple[str, tuple]]:
     verts = sorted(set(pdf.src) | set(pdf.dst))
     return [("V", (int(v),)) for v in verts]

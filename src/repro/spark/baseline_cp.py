@@ -6,12 +6,11 @@ joins** (Fig. 1(a)): per batch and per updated atom, the prefix view is
 joined with the atom's delta and the result is joined across the suffix
 relations, then folded into every downstream view. Space and per-batch
 work scale with the intermediate view / delta-join sizes — the
-polynomial behaviour CROWN avoids. ``delta_only=True`` is the Trill
-proxy (delta output, no full materialized result needed).
+polynomial behaviour CROWN avoids.
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.cq.query import CQ
@@ -23,17 +22,9 @@ from repro.spark.state import (
 class SparkStandardCP:
     """Batch standard change propagation over a left-deep plan."""
 
-    def __init__(
-        self,
-        spark: SparkSession,
-        cq: CQ,
-        delta_only: bool = False,
-        post_filter: Column | None = None,
-    ) -> None:
+    def __init__(self, spark: SparkSession, cq: CQ) -> None:
         self.spark = spark
         self.cq = cq
-        self.delta_only = delta_only
-        self.post_filter = post_filter
         self.atom_filters = selection_filters(cq)
         names = [r.name for r in cq.relations]
         self.order = names
@@ -57,7 +48,6 @@ class SparkStandardCP:
         self.result = (
             empty_df(spark, list(cq.output)).withColumn("__m", F.lit(0)).limit(0)
         )
-        self.batches = 0
 
     def _atom_delta(self, atom: str, sd: DataFrame) -> DataFrame:
         rel = self.rels[atom]
@@ -114,15 +104,10 @@ class SparkStandardCP:
             rd = delta.groupBy(list(self.cq.output)).agg(
                 F.sum("__m").alias("__m")
             )
-            if self.post_filter is not None:
-                rd = rd.filter(self.post_filter)
             self.result = fold_bag(self.result, rd, list(self.cq.output))
-        self.batches += 1
         return set_delta(result_old, self.result, list(self.cq.output))
 
     def full_result(self) -> DataFrame:
-        if self.delta_only:
-            raise NotImplementedError("Trill proxy: no full enumeration")
         return self.result.filter(F.col("__m") > 0).select(list(self.cq.output))
 
     def state_rows(self) -> int:

@@ -22,11 +22,13 @@ only on its *candidates*: the batch's own tuples and the stored tuples
 under a child's changed key. What is batch-sized lives on the driver:
 the batch's tuples, each node's V_s delta d, the V_p keys whose count
 crossed 0 and the tuples that climb to the root. A membership test
-against such a list is a literal predicate compiled on the driver —
-``IN`` for one column, tuple ``IN`` for several, ``TRUE``/``FALSE`` for
-none. A key from another node (a child's key or V_p entry) holding a
-NULL matches nothing, as in a join; a node's own tuple holding one
-matches its stored copy (``<=>``).
+against such a list, of any length, is a literal predicate compiled
+on the driver — ``IN`` for one column, tuple ``IN`` for several,
+``TRUE``/``FALSE`` for none. A key from another node (a child's key or
+V_p entry) holding a NULL matches nothing, as in a join; a node's own
+tuple holding one matches its stored copy: the keys holding NULL in
+the same places are one term, ``IS NULL`` there and ``IN`` over the
+other columns.
 
 A round's fetch is one filter of the state frame, an OR of one term
 ``_n = i AND _k = k AND <membership>`` per piece; a node's pieces are
@@ -42,9 +44,8 @@ decides each candidate's old and new membership (formulae (3)/(4)) and
 moves the V_p counts by d; the keys whose count crosses 0 drive the
 parent. After the last round, one checkpoint writes the batch: the old
 state outside every rewritten key, plus one local frame of all new rows
-and counts. Only a key list longer than ``LITERAL_KEYS`` (a bulk load)
-is joined against instead, as a broadcast frame. No state frame is
-shuffled and no two views are ever joined.
+and counts. No state frame is shuffled and no two views are ever
+joined.
 
 Output. ΔQ is enumerated on the driver, top-down from the root tuples
 above a changed V_s tuple (Lemma 5.1/5.3: output-proportional). The
@@ -73,28 +74,18 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Callable, Generator, Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import reduce
 
 from pyspark.sql import Column, DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.cq.join_tree import JoinTree, checked_tree
 from repro.cq.query import CQ
-from repro.spark.state import (
-    anti, checkpoint, empty_df, local_frame, selection_filters, semi,
-)
+from repro.spark.state import checkpoint, empty_df, local_frame, selection_filters
 
 # row kinds of the state frame (column ``_k``)
 ROW, VP = 0, 1
 # a kind that is only fetched: the ROW rows in V_s
 VS = 2
 KIND_SQL = {ROW: f"_k = {ROW}", VP: f"_k = {VP}", VS: f"_k = {ROW} AND _v = 1"}
-# A literal list longer than this is joined against as a broadcast
-# frame. Filtering a 20K-row frame (local[4], median of 5) took, literal
-# vs broadcast: 1 column, 1,000 keys 64 vs 96 ms, 10,000 keys 227 vs
-# 184 ms; 2 columns (tuple IN), 300 keys 90 vs 111 ms, 1,000 keys 158 vs
-# 112 ms, 10,000 keys 1,048 vs 162 ms.
-LITERAL_KEYS = 500
 
 Keys = dict[tuple[str, ...], set[tuple]]  # column tuple -> its literal keys
 # (node, kind, columns, keys): the node's rows of that kind whose columns
@@ -103,10 +94,6 @@ Piece = tuple[str, int, tuple[str, ...], set[tuple]]
 # a fetch's rows: (node, stored kind) -> each row on the node's columns
 # of that kind -> its ``_v``
 Got = dict[tuple[str, int], dict[tuple, int]]
-
-
-def _union(frames: list[DataFrame]) -> DataFrame:
-    return reduce(DataFrame.unionByName, frames)
 
 
 def _quoted(cols: Iterable[str]) -> list[str]:
@@ -140,23 +127,36 @@ def _non_null(keys: Iterable[tuple]) -> set[tuple]:
     return {k for k in keys if None not in k}
 
 
+def _in(cols: Sequence[str], keys: list[tuple]) -> str:
+    """SQL for "the row's ``cols`` are one of the NULL-free ``keys``",
+    never NULL: ``IN`` for one column, tuple ``IN`` (which compares
+    null-safely) for several."""
+    if len(cols) == 1:
+        return f"coalesce(`{cols[0]}` IN ({', '.join(f'{k[0]}L' for k in keys)}), false)"
+    lits = ", ".join("(" + ", ".join(f"{v}L" for v in k) + ")" for k in keys)
+    return f"({', '.join(_quoted(cols))}) IN ({lits})"
+
+
 def _member(cols: Sequence[str], keys: list[tuple]) -> str:
     """SQL for "the row's ``cols`` are one of ``keys``". A key holding a
-    NULL matches a NULL there (``<=>``). It is never NULL, so its
-    negation keeps the rows it does not match, as an anti-join does."""
-    plain = [k for k in keys if None not in k]
+    NULL matches a NULL there. The keys holding NULL in the same places
+    are one term, so a bulk of them stays one ``IN`` list, which Spark
+    tests against a hash set; one term per key overflows the generated
+    code. It is never NULL, so its negation keeps the rows it does not
+    match, as an anti-join does."""
+    groups: dict[tuple[int, ...], list[tuple]] = defaultdict(list)
+    for k in keys:
+        groups[tuple(i for i, v in enumerate(k) if v is None)].append(k)
     terms = []
-    if len(cols) == 1 and plain:
-        terms.append(f"coalesce(`{cols[0]}` IN ({', '.join(f'{k[0]}L' for k in plain)}), false)")
-    elif plain:
-        lits = ", ".join("(" + ", ".join(f"{v}L" for v in k) + ")" for k in plain)
-        terms.append(f"({', '.join(_quoted(cols))}) IN ({lits})")
-    terms += [
-        "(" + " AND ".join(f"`{c}` <=> {'NULL' if v is None else f'{v}L'}"
-                           for c, v in zip(cols, k)) + ")"
-        for k in keys if None in k
-    ]
-    return terms[0] if len(terms) == 1 else f"({' OR '.join(terms)})"
+    for nulls, ks in groups.items():
+        rest = [i for i in range(len(cols)) if i not in nulls]
+        conds = [f"`{cols[i]}` IS NULL" for i in nulls]
+        if rest:
+            conds.append(_in([cols[i] for i in rest], [tuple(k[i] for i in rest) for k in ks]))
+        terms.append(" AND ".join(conds))
+    if len(terms) == 1:
+        return terms[0]
+    return "(" + " OR ".join(f"({t})" for t in terms) + ")"
 
 
 @dataclass
@@ -188,14 +188,6 @@ class _NodeState:
     def counts(self) -> DataFrame:
         return self.kind(VP).select(*self.key, "_v")
 
-    def vp(self) -> DataFrame:
-        return self.counts().withColumnRenamed("_v", "cnt")
-
-    def changed_keys(self) -> DataFrame:
-        """The V_p keys whose count crossed 0 in the last batch that
-        touched the node."""
-        return local_frame(self.crown.spark, list(self.keys), self.key)
-
 
 @dataclass
 class _Change:
@@ -221,13 +213,11 @@ class SparkCrown:
         spark: SparkSession,
         cq: CQ,
         tree: JoinTree | None = None,
-        post_filter: Column | None = None,
         atom_filters: dict[str, Column] | None = None,
     ) -> None:
         self.spark = spark
         self.cq = cq
         self.tree = checked_tree(cq, tree)
-        self.post_filter = post_filter
         # a passed map replaces the filters compiled from ``cq.where``
         self.atom_filters = atom_filters if atom_filters is not None else selection_filters(cq)
         self.nodes: dict[str, _NodeState] = {}
@@ -260,7 +250,6 @@ class SparkCrown:
         while kids := [c for n in levels[-1] for c in self.nodes[n].children]:
             levels.append(kids)
         self.fetches = [sum(levels[:2], []), *levels[2:]]
-        self.batches = 0
         self.stats: dict[str, dict[str, int]] = {}
         self.actions: Counter[str] = Counter()
 
@@ -295,7 +284,6 @@ class SparkCrown:
                     steps[name] = self._maintain(self.nodes[name], batches.get(name, {}), kids)
             done.update((n, ch) for n, ch in self._round(steps).items() if ch.affected)
         self._checkpoint()
-        self.batches += 1
         return self._output_delta(done)
 
     def _batches(self, stream_deltas: dict[str, DataFrame]) -> dict[str, dict[tuple, int]]:
@@ -321,7 +309,7 @@ class SparkCrown:
         return out
 
     # ------------------------------------------------------------------
-    # pieces: SQL terms, their driver-side twins and the broadcast fallback
+    # pieces: SQL terms and their driver-side twins
 
     def _term(self, piece: Piece) -> str:
         name, kind, cols, keys = piece
@@ -335,29 +323,10 @@ class SparkCrown:
         to = _proj(self.nodes[name].cols(kind), cols)
         return lambda t, v: (kind != VS or v == 1) and to(t) in keys
 
-    @staticmethod
-    def _split(pieces: list[Piece]) -> tuple[list[Piece], list[Piece]]:
-        """The pieces that match a row, split into those tested by a
-        literal predicate and those longer than ``LITERAL_KEYS``."""
-        pieces = [p for p in pieces if p[3]]
-        return ([p for p in pieces if len(p[3]) <= LITERAL_KEYS],
-                [p for p in pieces if len(p[3]) > LITERAL_KEYS])
-
-    def _join(self, df: DataFrame, piece: Piece, keep: bool) -> DataFrame:
-        """The rows of ``df`` that ``piece`` matches (``keep``) or does
-        not, by a broadcast join against its keys tagged with the node
-        index and kind. A NULL in a key matches a NULL: a node's own
-        tuples are matched against their stored copies."""
-        name, kind, cols, keys = piece
-        on = ["_n", "_k", *cols]
-        at = (self.nodes[name].index, _stored(kind))
-        small = local_frame(self.spark, [(*at, *k) for k in keys], on)
-        if all(None not in k for k in keys):
-            # a join on column names puts them first
-            return (semi if keep else anti)(df, small, on).select(df.columns)
-        small = small.toDF(*(f"_{c}" for c in on))
-        cond = reduce(Column.__and__, (df[c].eqNullSafe(small[f"_{c}"]) for c in on))
-        return df.join(F.broadcast(small), cond, "left_semi" if keep else "left_anti")
+    def _where(self, pieces: list[Piece]) -> str:
+        """SQL for "a state row that one of ``pieces`` matches", an OR of
+        their terms; empty if none can match a row."""
+        return " OR ".join(self._term(p) for p in pieces if p[3])
 
     def _fetch(self, pieces: list[Piece], action: str) -> Got:
         """One Spark action for ``pieces``, a scan of the state frame:
@@ -365,12 +334,8 @@ class SparkCrown:
         of that kind, with its ``_v``. The rows that the batch's earlier
         rounds rewrote are overlaid from the driver."""
         out: Got = defaultdict(dict)
-        lits, big = self._split(pieces)
-        if lits or big:
-            parts = [self.state.filter(" OR ".join(map(self._term, lits)))] if lits else []
-            parts += [self._join(self.state.filter("_v = 1") if p[1] == VS else self.state, p, True)
-                      for p in big]
-            for r in _union(parts).collect():
+        if where := self._where(pieces):
+            for r in self.state.filter(where).collect():
                 node, k = self.by_index[r[0]], r[-2]
                 out[(node.name, k)][tuple(r[i] for i in node.slots[k])] = r[-1]
             self.actions[action] += 1
@@ -517,12 +482,9 @@ class SparkCrown:
         all new rows and counts as one local frame, checkpointed."""
         if not self._drop:
             return
-        lits, big = self._split(self._drop)
         kept = self.state
-        if lits:
-            kept = kept.filter(f"NOT ({' OR '.join(map(self._term, lits))})")
-        for p in big:
-            kept = self._join(kept, p, False)
+        if where := self._where(self._drop):
+            kept = kept.filter(f"NOT ({where})")
         rows = []
         for (name, kind), got in self._add.items():
             node = self.nodes[name]
@@ -583,8 +545,7 @@ class SparkCrown:
             to_y = _proj(cols, y)
             out = _summed((to_y(t), o, n) for t, (o, n) in acc.items())
             rows = [(*t, (n > 0) - (o > 0)) for t, (o, n) in out.items() if (n > 0) != (o > 0)]
-        frame = local_frame(self.spark, rows, [*y, "sign"])
-        return frame if self.post_filter is None else frame.filter(self.post_filter)
+        return local_frame(self.spark, rows, [*y, "sign"])
 
     def _weights(self, got: Got, piece: Piece, done: dict[str, _Change],
                  cols: Sequence[str]) -> dict[tuple, tuple[int, int]]:
@@ -621,10 +582,7 @@ class SparkCrown:
             if len(keep) < len(node.attrs):
                 side = side.distinct()
             acc = side.join(acc, node.key or None, "inner")
-        out = acc.selectExpr(*_quoted(self.cq.output)).distinct()
-        if self.post_filter is not None:
-            out = out.filter(self.post_filter)
-        return out
+        return acc.selectExpr(*_quoted(self.cq.output)).distinct()
 
     def state_rows(self) -> int:
         """Every stored row — R_e (V_s is a flag on it) and the counted

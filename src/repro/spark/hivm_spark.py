@@ -9,7 +9,7 @@ data-dependent maintenance cost at batch granularity.
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.cq.query import CQ
@@ -19,15 +19,9 @@ from repro.spark.state import (
 
 
 class SparkFirstOrderHIVM:
-    def __init__(
-        self,
-        spark: SparkSession,
-        cq: CQ,
-        post_filter: Column | None = None,
-    ) -> None:
+    def __init__(self, spark: SparkSession, cq: CQ) -> None:
         self.spark = spark
         self.cq = cq
-        self.post_filter = post_filter
         self.atom_filters = selection_filters(cq)
         self.names = [r.name for r in cq.relations]
         self.rels = {r.name: r for r in cq.relations}
@@ -51,7 +45,6 @@ class SparkFirstOrderHIVM:
         self.result = (
             empty_df(spark, list(cq.output)).withColumn("__m", F.lit(0)).limit(0)
         )
-        self.batches = 0
 
     def process_batch(self, stream_deltas: dict[str, DataFrame]) -> DataFrame:
         result_old = self.result
@@ -83,8 +76,6 @@ class SparkFirstOrderHIVM:
                     .drop("__mm")
                 )
             rd = dq.groupBy(list(self.cq.output)).agg(F.sum("__m").alias("__m"))
-            if self.post_filter is not None:
-                rd = rd.filter(self.post_filter)
             self.result = fold_bag(self.result, rd, list(self.cq.output))
             # maintain the other auxiliary views (the expensive part);
             # greedy join order, cross join when no attr is shared —
@@ -111,7 +102,6 @@ class SparkFirstOrderHIVM:
             # base update
             nb = self.base[atom].join(dels, on=acols, how="left_anti")
             self.base[atom] = checkpoint(nb.unionByName(ins))
-        self.batches += 1
         return set_delta(result_old, self.result, list(self.cq.output))
 
     def full_result(self) -> DataFrame:

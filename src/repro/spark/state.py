@@ -77,24 +77,6 @@ def set_delta(before: DataFrame, after: DataFrame, cols: list[str]) -> DataFrame
     return checkpoint(plus.unionByName(minus))
 
 
-def _probe(small: DataFrame, on: list[str]) -> DataFrame:
-    """The broadcast side of a semi/anti-join. With no key columns it is
-    at most one row of no columns, so the join only asks whether
-    ``small`` has a row, lazily, when the plan runs."""
-    return F.broadcast(small if on else small.limit(1).select())
-
-
-def semi(df: DataFrame, small: DataFrame, on: list[str]) -> DataFrame:
-    """Rows of ``df`` with a match in the delta-sized ``small`` on
-    ``on``. ``small`` is broadcast, so ``df`` is scanned, not shuffled."""
-    return df.join(_probe(small, on), on=on or None, how="left_semi")
-
-
-def anti(df: DataFrame, small: DataFrame, on: list[str]) -> DataFrame:
-    """Rows of ``df`` without a match in the delta-sized ``small``."""
-    return df.join(_probe(small, on), on=on or None, how="left_anti")
-
-
 def selection_filters(cq: CQ) -> dict[str, Column]:
     """Each atom's §7.2 selections (``cq.where``) as one Spark filter
     over the atom's attribute columns."""

@@ -12,9 +12,8 @@ from repro.core.engine import CrownEngine
 from repro.cq.join_tree import best_tree, free_connex_trees
 from repro.cq.query import CQ, Relation
 from repro.oracle import assert_equivalent
-from repro.spark import crown_spark
-from repro.spark.crown_spark import SparkCrown
-from repro.spark.state import anti, local_frame, semi
+from repro.spark.crown_spark import SparkCrown, _member
+from repro.spark.state import local_frame
 from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
 from tests._util import jobs_of
@@ -94,9 +93,8 @@ def _check_batch(spark, sc, core, batch):
 def _check_events(spark, sc, core, events):
     """Feed one batch of ``(stream, sign, tuple)`` events, one per tuple,
     to ``sc`` and ``core``: its delta set must equal the core engine's
-    net delta, and collecting it runs no Spark job. On the literal path
-    ``sc.actions`` counts every job the batch ran (a broadcast join runs
-    jobs of its own)."""
+    net delta, ``sc.actions`` counts every job the batch ran, and
+    collecting the delta runs no Spark job."""
     net = Counter()
     for stream, sign, t in events:
         for sg, out in core.apply(Update(stream, t, sign > 0)):
@@ -108,8 +106,7 @@ def _check_events(spark, sc, core, events):
         for stream, n in arity.items()
     }
     out, jobs, *_ = jobs_of(spark, lambda: sc.process_batch(frames))
-    if crown_spark.LITERAL_KEYS:
-        assert sum(sc.actions.values()) == jobs
+    assert sum(sc.actions.values()) == jobs
     assert out.columns == [*sc.cq.output, "sign"]
     rows, jobs, *_ = jobs_of(spark, out.collect)
     assert jobs == 0
@@ -138,8 +135,8 @@ def test_counted_vp_edge_cases(spark):
     seen = []
     for batch in batches:
         _check_batch(spark, sc, core, batch)
-        count = {r["B"]: r["cnt"] for r in g2.vp().collect()}.get(2, 0)
-        changed = (2,) in {tuple(r) for r in g2.changed_keys().collect()}
+        count = {r["B"]: r["_v"] for r in g2.counts().collect()}.get(2, 0)
+        changed = (2,) in g2.keys
         seen.append((count, changed))
     assert seen == [(2, True), (1, False), (2, False), (0, True)]
     _check_full_result(sc, core)
@@ -163,7 +160,7 @@ def test_stats_count_crossed_keys(spark):
     for batch in batches:
         _check_batch(spark, sc, core, batch)
         seen.append(sc.stats["G2"])
-        assert seen[-1]["changed_keys"] == sc.nodes["G2"].changed_keys().count()
+        assert seen[-1]["changed_keys"] == len(sc.nodes["G2"].keys)
     assert [s["changed_keys"] for s in seen[1:]] == [0, 0, 2]
     assert [s["delta"] for s in seen[1:]] == [1, 1, 3]
     assert all(s["candidates"] >= s["delta"] for s in seen)
@@ -186,18 +183,6 @@ def test_generalized_trees_match_core_engine(spark, tree):
     for batch in batched_graph_events(n_batches=2, per_batch=20, dom=8, seed=len(tree.nodes)):
         _check_batch(spark, sc, core, batch)
     _check_full_result(sc, core)
-
-
-def test_empty_key_semi_anti_are_lazy(spark):
-    """With no key columns, semi/anti ask whether the other frame has a
-    row when the plan runs, not while it is built."""
-    df = spark.range(3).toDF("a")
-    none = df.filter("a < 0")
-    plans, jobs, *_ = jobs_of(spark, lambda: [
-        semi(df, df, []), semi(df, none, []), anti(df, df, []), anti(df, none, []),
-    ])
-    assert jobs == 0
-    assert [p.count() for p in plans] == [3, 0, 0, 3]
 
 
 # A warm hop3_full batch runs 7 Spark jobs: 3 maintenance rounds
@@ -228,64 +213,49 @@ def test_warm_batch_job_budget(spark):
     assert sc.actions["checkpoint"] == 1
 
 
-@pytest.mark.parametrize("factory", [hop3_full, hop3_proj, star], ids=lambda f: f.__name__)
-def test_broadcast_fallback_matches_core_engine(spark, monkeypatch, factory):
-    """With the literal-list limit at 0, every membership test takes the
-    broadcast semi/anti-join path; the deltas stay the same."""
-    joins = []
-
-    def spy(fn):
-        def call(*args, **kw):
-            joins.append(fn.__name__)
-            return fn(*args, **kw)
-        return call
-
-    output_delta = SparkCrown._output_delta
-    in_output = []  # per batch: the joins its ΔQ fetches made
-
-    def spy_output(self, done):
-        n = len(joins)
-        out = output_delta(self, done)
-        in_output.append(len(joins) - n)
-        return out
-
-    monkeypatch.setattr(crown_spark, "LITERAL_KEYS", 0)
-    monkeypatch.setattr(crown_spark, "semi", spy(semi))
-    monkeypatch.setattr(crown_spark, "anti", spy(anti))
-    monkeypatch.setattr(SparkCrown, "_output_delta", spy_output)
-    cq = factory().cq
-    sc = SparkCrown(spark, cq, best_tree(cq))
-    core = CrownEngine(cq, sc.tree)
-    for batch in batched_graph_events(seed=zlib.crc32(cq.name.encode()) % 100):
-        _check_batch(spark, sc, core, batch)
-    _check_full_result(sc, core)
-    assert {"semi", "anti"} <= set(joins)
-    assert all(in_output)
-
-
 R_S = CQ((Relation("R", ("A", "B")), Relation("S", ("B", "C"))), ("A", "B", "C"), name="r_s")
 
 
-@pytest.mark.parametrize("limit", [crown_spark.LITERAL_KEYS, 0], ids=["literal", "broadcast"])
+@pytest.mark.parametrize("bulk", [0, 300], ids=["literal", "bulk"])
 @pytest.mark.parametrize("tree", free_connex_trees(R_S), ids=lambda t: t.root)
-def test_tuples_holding_null_are_deleted(spark, monkeypatch, tree, limit):
+def test_tuples_holding_null_are_deleted(spark, tree, bulk):
     """A batch tuple holding a NULL finds its stored copy, so deleting
     it emits its deltas and removes the row, and a re-insert stores it
-    once; as a join key, a NULL still matches nothing."""
-    monkeypatch.setattr(crown_spark, "LITERAL_KEYS", limit)
+    once; as a join key, a NULL still matches nothing. The bulk case
+    adds 2 × ``bulk`` R tuples holding a NULL in one column or the
+    other, some of which join S, so each batch tests R's rows against
+    one literal list of over 600 keys."""
+    extra = [(None, b) for b in range(100, 100 + bulk)] + [(a, None) for a in range(100, 100 + bulk)]
     sc = SparkCrown(spark, R_S, tree)
     core = CrownEngine(R_S, tree)
     batches = [
-        [("R", 1, (None, 5)), ("S", 1, (5, 7)), ("R", 1, (1, None))],
-        [("R", -1, (None, 5)), ("R", -1, (1, None))],
-        [("R", 1, (1, None))],
+        [("R", 1, (None, 5)), ("S", 1, (5, 7)), ("R", 1, (1, None)),
+         *(("S", 1, (b, 7)) for b in range(100, 100 + bulk, 50)), *(("R", 1, t) for t in extra)],
+        [("R", -1, (None, 5)), ("R", -1, (1, None)), *(("R", -1, t) for t in extra)],
+        [("R", 1, (1, None)), *(("R", 1, t) for t in extra)],
     ]
     for batch in batches:
         _check_events(spark, sc, core, batch)
     _check_full_result(sc, core)
     r = sc.nodes[tree.relation_node("R")]
-    assert [tuple(row)[:2] for row in r.rows().collect()] == [(1, None)]
-    assert [tuple(row) for row in r.counts().collect()] == ([] if tree.root == "R" else [(None, 1)])
+    kept = [(1, None), *extra]
+    assert Counter(tuple(row)[:2] for row in r.rows().collect()) == Counter(kept)
+    # R is a leaf unless it is the root: its V_p counts the tuples per B
+    want = Counter() if tree.root == "R" else Counter(b for _, b in kept)
+    assert Counter(tuple(row) for row in r.counts().collect()) == Counter(want.items())
+
+
+def test_member_groups_keys_by_their_nulls():
+    """Keys holding a NULL in the same places are one term, however many
+    there are; NULL-free keys are one ``IN`` or tuple ``IN``."""
+    many = ", ".join(f"{b}L" for b in range(1000))
+    assert _member(["A", "B"], [(None, b) for b in range(1000)]) == (
+        f"`A` IS NULL AND coalesce(`B` IN ({many}), false)")
+    assert _member(["A"], [(1,), (2,)]) == "coalesce(`A` IN (1L, 2L), false)"
+    assert _member(["A", "B"], [(1, 2), (3, 4)]) == "(`A`, `B`) IN ((1L, 2L), (3L, 4L))"
+    assert _member(["A", "B"], [(1, 2), (None, 3), (None, None), (None, 4)]) == (
+        "(((`A`, `B`) IN ((1L, 2L))) OR (`A` IS NULL AND coalesce(`B` IN (3L, 4L), false))"
+        " OR (`A` IS NULL AND `B` IS NULL))")
 
 
 @pytest.mark.parametrize("cq", BOOLEAN_QUERIES, ids=lambda cq: cq.name)

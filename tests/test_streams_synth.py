@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.harness import compacted_batches, stream_pdf
 from repro.streams.sequences import (
     Update,
     fifo_window_sequence,
@@ -49,6 +50,24 @@ class TestSequences:
     def test_infinite_endpoints_suppress_events(self):
         seq = from_lifespans([("R", (1,), float("-inf"), 4.0)])
         assert len(seq) == 1 and not seq.updates[0].is_insert
+
+
+class TestFig10Batches:
+    @pytest.mark.parametrize("n,dom,prefix", [(1500, 80, 300), (6000, 200, 1000)],
+                             ids=["quick", "full"])
+    def test_replay_gives_the_stream_end(self, n, dom, prefix):
+        """The Fig. 10 baselines' batches: one event per tuple each, and
+        replayed in order they leave the edges the stream leaves."""
+        events = stream_pdf(n, dom).head(prefix)
+        want, got = set(), set()
+        for sign, a, b in events[["sign", "v0", "v1"]].itertuples(index=False):
+            (want.add if sign > 0 else want.discard)((a, b))
+        for batch in compacted_batches(events, 4):
+            edges = list(zip(batch.v0, batch.v1))
+            assert len(set(edges)) == len(edges)
+            for sign, e in zip(batch.sign, edges):
+                (got.add if sign > 0 else got.discard)(e)
+        assert got == want
 
 
 class TestGraphGenerator:
