@@ -23,7 +23,6 @@ class SparkStandardCP:
     """Batch standard change propagation over a left-deep plan."""
 
     def __init__(self, spark: SparkSession, cq: CQ) -> None:
-        self.spark = spark
         self.cq = cq
         self.atom_filters = selection_filters(cq)
         names = [r.name for r in cq.relations]

@@ -20,7 +20,6 @@ from repro.spark.state import (
 
 class SparkFirstOrderHIVM:
     def __init__(self, spark: SparkSession, cq: CQ) -> None:
-        self.spark = spark
         self.cq = cq
         self.atom_filters = selection_filters(cq)
         self.names = [r.name for r in cq.relations]

@@ -2,43 +2,26 @@
 the tuple engine and the DuckDB oracle."""
 import random
 import zlib
-from collections import Counter
 
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.bench.queries import hop3_full, hop3_proj, star
+from repro.core.batch import ROW, VP, VS, DictStore
 from repro.core.engine import CrownEngine
 from repro.cq.join_tree import best_tree, free_connex_trees
 from repro.cq.query import CQ, Relation
 from repro.oracle import assert_equivalent
 from repro.spark.crown_spark import SparkCrown, _member
 from repro.spark.state import local_frame
-from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
 from tests._util import jobs_of
+from tests.test_batch_crown import (
+    R_S, batched_graph_events, check_null_rows, check_vp_counts, check_vp_stats, net_delta,
+    null_batches, vp_steps, whole,
+)
 from tests.test_engine_deltas import BOOLEAN_QUERIES
-
-
-def batched_graph_events(n_batches=3, per_batch=35, dom=12, seed=0):
-    rng = random.Random(seed)
-    live = set()
-    batches = []
-    for _ in range(n_batches):
-        events = {}
-        for _ in range(per_batch):
-            if live and rng.random() < 0.3:
-                t = rng.choice(sorted(live))
-                live.discard(t)
-                events[t] = -1
-            else:
-                t = (rng.randrange(dom), rng.randrange(dom))
-                if t in live:
-                    continue
-                live.add(t)
-                events[t] = 1
-        batches.append([(s, a, b) for (a, b), s in events.items()])
-    return batches
 
 
 @pytest.mark.parametrize("factory", [hop3_full, hop3_proj, star], ids=lambda f: f.__name__)
@@ -95,10 +78,6 @@ def _check_events(spark, sc, core, events):
     to ``sc`` and ``core``: its delta set must equal the core engine's
     net delta, ``sc.actions`` counts every job the batch ran, and
     collecting the delta runs no Spark job."""
-    net = Counter()
-    for stream, sign, t in events:
-        for sg, out in core.apply(Update(stream, t, sign > 0)):
-            net[out] += sg
     arity = {r.stream: len(r.attrs) for r in sc.cq.relations}
     frames = {
         stream: local_frame(spark, [(sg, *t) for st, sg, t in events if st == stream],
@@ -112,7 +91,7 @@ def _check_events(spark, sc, core, events):
     assert jobs == 0
     got = {tuple(r[x] for x in sc.cq.output): r["sign"] for r in rows}
     assert len(got) == len(rows)
-    assert got == {t: (1 if c > 0 else -1) for t, c in net.items() if c != 0}
+    assert got == net_delta(core, events)
 
 
 def _check_full_result(sc, core):
@@ -125,20 +104,7 @@ def test_counted_vp_edge_cases(spark):
     cq = hop3_proj().cq
     sc = SparkCrown(spark, cq)
     core = CrownEngine(cq, sc.tree)
-    g2 = sc.nodes["G2"]  # key B; (2, 3) and (2, 4) share B = 2
-    batches = [
-        [(1, 1, 2), (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 5)],
-        [(-1, 2, 3)],  # one of the two tuples under B = 2 leaves V_s
-        [(1, 2, 3)],  # ... and comes back in the next batch
-        [(-1, 2, 3), (-1, 2, 4)],  # both leave: the count crosses 0
-    ]
-    seen = []
-    for batch in batches:
-        _check_batch(spark, sc, core, batch)
-        count = {r["B"]: r["_v"] for r in g2.counts().collect()}.get(2, 0)
-        changed = (2,) in g2.keys
-        seen.append((count, changed))
-    assert seen == [(2, True), (1, False), (2, False), (0, True)]
+    check_vp_counts(vp_steps(lambda b: _check_batch(spark, sc, core, b), sc.core, sc))
     _check_full_result(sc, core)
 
 
@@ -148,22 +114,7 @@ def test_stats_count_crossed_keys(spark):
     cq = hop3_proj().cq
     sc = SparkCrown(spark, cq)
     core = CrownEngine(cq, sc.tree)
-    batches = [
-        [(1, 1, 2), (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 5)],
-        [(-1, 2, 3)],  # B = 2: 2 -> 1
-        [(1, 2, 3)],  # B = 2: 1 -> 2
-        # B = 2: 2 -> 0; and G3 loses C = 2, so G2's (1, 2) leaves V_s
-        # and B = 1 goes 1 -> 0
-        [(-1, 2, 3), (-1, 2, 4)],
-    ]
-    seen = []
-    for batch in batches:
-        _check_batch(spark, sc, core, batch)
-        seen.append(sc.stats["G2"])
-        assert seen[-1]["changed_keys"] == len(sc.nodes["G2"].keys)
-    assert [s["changed_keys"] for s in seen[1:]] == [0, 0, 2]
-    assert [s["delta"] for s in seen[1:]] == [1, 1, 3]
-    assert all(s["candidates"] >= s["delta"] for s in seen)
+    check_vp_stats(vp_steps(lambda b: _check_batch(spark, sc, core, b), sc.core, sc))
 
 
 TWO_GENERALIZED = [
@@ -203,7 +154,9 @@ def test_warm_batch_job_budget(spark):
         spark.createDataFrame(pd.DataFrame(b, columns=["sign", "a", "b"]))
         for b in batched_graph_events(n_batches=2, per_batch=25, seed=3)
     )
-    sc.process_batch({"G": cold}).collect()
+    # the cold batch fetches nothing from the empty state
+    _, jobs, *_ = jobs_of(spark, lambda: sc.process_batch({"G": cold}).collect())
+    assert sc.actions["fetch"] == 0 and sum(sc.actions.values()) == jobs
     _, jobs, _, tasks = jobs_of(spark, lambda: sc.process_batch({"G": warm}).collect())
     assert 0 < jobs <= WARM_BATCH_JOBS
     # one scan of a state frame of ``partitions`` partitions per job: a
@@ -213,36 +166,22 @@ def test_warm_batch_job_budget(spark):
     assert sc.actions["checkpoint"] == 1
 
 
-R_S = CQ((Relation("R", ("A", "B")), Relation("S", ("B", "C"))), ("A", "B", "C"), name="r_s")
-
-
 @pytest.mark.parametrize("bulk", [0, 300], ids=["literal", "bulk"])
 @pytest.mark.parametrize("tree", free_connex_trees(R_S), ids=lambda t: t.root)
 def test_tuples_holding_null_are_deleted(spark, tree, bulk):
     """A batch tuple holding a NULL finds its stored copy, so deleting
     it emits its deltas and removes the row, and a re-insert stores it
-    once; as a join key, a NULL still matches nothing. The bulk case
-    adds 2 × ``bulk`` R tuples holding a NULL in one column or the
-    other, some of which join S, so each batch tests R's rows against
-    one literal list of over 600 keys."""
-    extra = [(None, b) for b in range(100, 100 + bulk)] + [(a, None) for a in range(100, 100 + bulk)]
+    once; as a join key, a NULL still matches nothing. In the bulk case
+    each batch tests R's rows against one literal list of over 600 keys."""
+    batches, kept = null_batches(bulk)
     sc = SparkCrown(spark, R_S, tree)
     core = CrownEngine(R_S, tree)
-    batches = [
-        [("R", 1, (None, 5)), ("S", 1, (5, 7)), ("R", 1, (1, None)),
-         *(("S", 1, (b, 7)) for b in range(100, 100 + bulk, 50)), *(("R", 1, t) for t in extra)],
-        [("R", -1, (None, 5)), ("R", -1, (1, None)), *(("R", -1, t) for t in extra)],
-        [("R", 1, (1, None)), *(("R", 1, t) for t in extra)],
-    ]
     for batch in batches:
         _check_events(spark, sc, core, batch)
     _check_full_result(sc, core)
-    r = sc.nodes[tree.relation_node("R")]
-    kept = [(1, None), *extra]
-    assert Counter(tuple(row)[:2] for row in r.rows().collect()) == Counter(kept)
-    # R is a leaf unless it is the root: its V_p counts the tuples per B
-    want = Counter() if tree.root == "R" else Counter(b for _, b in kept)
-    assert Counter(tuple(row) for row in r.counts().collect()) == Counter(want.items())
+    check_null_rows(sc, tree, kept)
+    # no row is stored twice
+    assert sc.state_rows() == sum(len(whole(sc, n, k)) for n in tree.nodes for k in (ROW, VP))
 
 
 def test_member_groups_keys_by_their_nulls():
@@ -281,19 +220,80 @@ def test_boolean_queries_match_core_engine(spark, cq):
 def test_stream_frame_is_collected_once(spark):
     """The three atoms of hop3_full's self-join share one collect of the
     stream: one job for a frame parallelized from a list, none for one
-    built from pandas."""
+    built from pandas, besides the engine's own actions."""
     cq = hop3_full().cq
-    sc = SparkCrown(spark, cq, best_tree(cq))
     edges = [(1, 1, 2), (1, 2, 3), (1, 3, 10), (-1, 4, 5)]
     listed = spark.createDataFrame(edges, "sign long, a long, b long")
     pandas = spark.createDataFrame(pd.DataFrame(edges, columns=["sign", "a", "b"]))
-    want = {
-        sc.tree.relation_node(r.name): {
-            (a, b): s for s, a, b in edges if all(p((a, b)) for p in cq.selections_on(r.name))
-        }
-        for r in cq.relations
-    }
-    assert len({len(b) for b in want.values()}) == 2  # one atom's selection drops edges
     for frame, n in ((listed, 1), (pandas, 0)):
-        got, jobs, *_ = jobs_of(spark, lambda: sc._batches({"G": frame}))
-        assert (got, jobs) == (want, n)
+        sc = SparkCrown(spark, cq, best_tree(cq))
+        out, jobs, *_ = jobs_of(spark, lambda: sc.process_batch({"G": frame}))
+        assert jobs == n + sum(sc.actions.values())
+        assert [tuple(r) for r in out.collect()] == [(1, 2, 3, 10, 1)]
+
+
+def test_atom_filters_are_checked_not_applied(spark):
+    """``atom_filters`` must spell the query's own selections; the core
+    applies the compiled ones."""
+    cq = hop3_full().cq
+    SparkCrown(spark, cq, atom_filters={"G3": F.col("D") % 10 == 0})
+    for wrong in ({"G3": F.col("D") % 5 == 0}, {"G1": F.col("B") % 10 == 0}, {}):
+        with pytest.raises(ValueError):
+            SparkCrown(spark, cq, atom_filters=wrong)
+
+
+# R(A, B, C) ⋈ S(B, C, D): two-column V_p keys on either side
+R3_S3 = CQ((Relation("R", ("A", "B", "C")), Relation("S", ("B", "C", "D"))),
+           ("A", "B", "C", "D"), name="r3_s3")
+
+
+@pytest.mark.parametrize("cq", [R_S, R3_S3], ids=lambda cq: cq.name)
+def test_sql_terms_agree_with_matcher(spark, cq):
+    """The Spark store's SQL terms (``_term``/``_member``) and the dict
+    store's ``matcher`` are one predicate: on the same state, with
+    NULL-holding rows, random pieces of every kind fetch the same rows,
+    and a commit drops the same ones."""
+    rng = random.Random(zlib.crc32(cq.name.encode()))
+    tree = best_tree(cq)
+    sc, ds = SparkCrown(spark, cq, tree), DictStore(tree)
+    def val():
+        return rng.choice([None, 0, 1, 2, 3])
+
+    def cols(name, kind):
+        return tree.key(name) if kind == VP else tree.node(name).attrs
+
+    def rows():
+        return {(n, k): {tuple(val() for _ in cols(n, k)): rng.randrange(2 if k == ROW else 4)
+                         for _ in range(12)} for n in tree.nodes for k in (ROW, VP)}
+
+    def pieces():
+        out = []
+        for _ in range(rng.randrange(1, 4)):
+            n, k = rng.choice(sorted(tree.nodes)), rng.choice([ROW, VP, VS])
+            c = tuple(rng.sample(list(cols(n, k)), rng.randrange(len(cols(n, k)) + 1)))
+            keys = {tuple(val() for _ in c) for _ in range(rng.randrange(4))}
+            out.append((n, k, c, keys))
+        return out
+
+    def same(pcs):
+        spark_got, dict_got = sc.fetch(pcs), ds.fetch(pcs)
+        assert {t: r for t, r in spark_got.items() if r} == {t: r for t, r in dict_got.items() if r}
+
+    first = rows()
+    for store in (sc, ds):
+        store.commit([], first)
+    for _ in range(25):
+        same(pieces())
+    same([(n, k, (), {()}) for n in tree.nodes for k in (ROW, VP, VS)])
+    drop = pieces()
+    # the new rows sit under the dropped pieces, or are new to the state
+    hit = ds.fetch(drop)
+    add = {t: {r: 1 - v if t[1] == ROW else v + 1 for r, v in got.items()} for t, got in hit.items()}
+    for t, got in rows().items():
+        add.setdefault(t, {}).update((r, v) for r, v in got.items() if r not in first[t])
+    for store in (sc, ds):
+        store.commit(drop, add)
+    for _ in range(25):
+        same(pieces())
+    same([(n, k, (), {()}) for n in tree.nodes for k in (ROW, VP, VS)])
+    assert sc.state_rows() == sum(len(r) for r in ds.rows.values())
