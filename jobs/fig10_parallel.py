@@ -38,8 +38,7 @@ def main() -> None:
             }
         )
     # Spark micro-batch baselines on a prefix of the same stream
-    from repro.spark.baseline_cp import SparkStandardCP
-    from repro.spark.hivm_spark import SparkFirstOrderHIVM
+    from repro.spark.baseline_cp import SparkFirstOrderHIVM, SparkStandardCP
 
     nb = 300 if args.quick else 1000
     batches = compacted_batches(updates.head(nb), 4)

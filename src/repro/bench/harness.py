@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import pandas as pd
 
 from repro.bench.queries import BenchQuery
-from repro.core.baseline_cp import StandardCPEngine
+from repro.core.baseline_cp import FirstOrderHIVMEngine, StandardCPEngine
 from repro.core.engine import CrownEngine
-from repro.core.hivm import FirstOrderHIVMEngine
 from repro.cq.ghd import dumbbell_ghd
 from repro.streams.sequences import (
     UpdateSequence,

@@ -7,7 +7,7 @@ pushed to the filtered atom (§7.2). Each entry also carries the DuckDB
 SQL used by the oracle for end-state result checks; that SQL is written
 by hand, so it stays an independent reference.
 
-SNB queries run over the SNB-lite schema (repro.synth_data.snb_tables)
+SNB queries run over the SNB-lite schema (repro.synth_data.snb_tables_pdf)
 with unified join-attribute names; ``m_c_replyof IS NULL`` is an atom
 selection, SNB Q3's ``<>`` a post-filter over output attributes, and
 SNB Q4's COUNT(DISTINCT) an extended-output query plus the

@@ -59,11 +59,20 @@ def fold_bag(bag: DataFrame, delta: DataFrame, cols: list[str]) -> DataFrame:
     return checkpoint(out)
 
 
+def same_rows(df: DataFrame, other: DataFrame, cols: list[str], how: str) -> DataFrame:
+    """``df``'s rows that have (``how="left_semi"``) or lack
+    (``"left_anti"``) an equal row in ``other``, where NULL equals NULL:
+    a batch tuple holding a NULL still finds its stored copy."""
+    a, b = df.alias("_a"), other.alias("_b")
+    on = [F.col(f"_a.`{c}`").eqNullSafe(F.col(f"_b.`{c}`")) for c in cols]
+    return a.join(b, on=on, how=how)
+
+
 def effective(d: DataFrame, base: DataFrame, cols: list[str]) -> tuple[DataFrame, DataFrame]:
     """The batch ``d``'s effective inserts and deletes under set
     semantics: inserts of tuples not in ``base``, deletes of tuples in it."""
-    ins = d.filter(F.col("sign") > 0).select(cols).join(base, on=cols, how="left_anti")
-    dels = d.filter(F.col("sign") < 0).select(cols).join(base, on=cols, how="left_semi")
+    ins = same_rows(d.filter(F.col("sign") > 0).select(cols), base, cols, "left_anti")
+    dels = same_rows(d.filter(F.col("sign") < 0).select(cols), base, cols, "left_semi")
     return ins, dels
 
 

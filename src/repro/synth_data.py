@@ -201,7 +201,3 @@ def snb_tables_pdf(*, sf: float = 0.01, seed: int = 11) -> dict[str, pd.DataFram
         "message": message,
         "message_tag": message_tag,
     }
-
-
-def snb_tables(spark: SparkSession, *, sf: float = 0.01, seed: int = 11) -> dict[str, DataFrame]:
-    return {k: spark.createDataFrame(v) for k, v in snb_tables_pdf(sf=sf, seed=seed).items()}

@@ -3,13 +3,13 @@ DBToaster): correctness vs brute force, Table 1 capabilities, and the
 space blowup CROWN avoids."""
 import pytest
 
-from repro.bench.harness import ENGINES, make_engine
-from repro.bench.queries import GRAPH_QUERIES
-from repro.core.baseline_cp import StandardCPEngine
+from repro.bench.harness import ENGINES, graph_stream, make_engine
+from repro.bench.queries import GRAPH_QUERIES, hop3_proj, star
+from repro.core.baseline_cp import FirstOrderHIVMEngine, StandardCPEngine
 from repro.core.engine import CrownEngine
-from repro.core.hivm import FirstOrderHIVMEngine
 from repro.streams.sequences import Update
 from tests._util import fuzz_engine_vs_naive, random_updates
+from tests.test_batch_crown import R_S
 
 ARITY = {"2comb": {"G": 2, "V1": 1, "V2": 1}}
 
@@ -42,6 +42,44 @@ def test_hivm_deltas(name, seed):
         seed=seed,
         post_filter=bq.post_filter,
     )
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("engine_cls", [StandardCPEngine, FirstOrderHIVMEngine])
+def test_null_join_attributes_match_nothing(engine_cls, seed):
+    """As in SQL, ``CrownEngine`` and ``naive.evaluate``, a NULL join
+    attribute matches nothing: R(1, NULL) and S(NULL, 2) give no result,
+    and deleting a tuple that holds a NULL is a no-op or an exact delete."""
+    eng = engine_cls(R_S)
+    assert eng.apply(Update("R", (1, None), True)) == []
+    assert eng.apply(Update("S", (None, 2), True)) == []
+    fuzz_engine_vs_naive(
+        lambda: engine_cls(R_S),
+        R_S,
+        {"R": 2, "S": 2},
+        steps=300,
+        seed=seed,
+        tuple_maker=lambda rng, s: tuple(
+            None if rng.random() < 0.3 else rng.randrange(3) for _ in range(2)
+        ),
+    )
+
+
+@pytest.mark.parametrize("engine_cls", [StandardCPEngine, FirstOrderHIVMEngine])
+@pytest.mark.parametrize("factory,want", [
+    (hop3_proj, {StandardCPEngine: (809, 44027, 1992), FirstOrderHIVMEngine: (809, 296094, 24011)}),
+    (star, {StandardCPEngine: (15224, 25858, 1473), FirstOrderHIVMEngine: (15224, 11134, 1195)}),
+], ids=["3hop_proj", "star"])
+def test_exact_work(factory, want, engine_cls):
+    """Exact deltas, view rows touched and space on a fixed FIFO-window
+    stream: a change to how the views are maintained must leave the
+    work of both plans as it is."""
+    bq = factory()
+    eng = engine_cls(bq.cq, post_filter=bq.post_filter)
+    eng.run(graph_stream(sf=0.002, window=150, seed=1).updates[:1000])
+    deltas, touched, space = want[engine_cls]
+    assert eng.stats == {"updates": 1000, "deltas": deltas, "view_rows_touched": touched}
+    assert eng.space() == space
 
 
 def test_cp_full_result_readable():

@@ -5,11 +5,12 @@ import pytest
 from repro.bench.queries import hop3_full, hop3_proj
 from repro.core.engine import CrownEngine
 from repro.oracle import assert_equivalent
-from repro.spark.baseline_cp import SparkStandardCP
+from repro.spark.baseline_cp import SparkFirstOrderHIVM, SparkStandardCP
 from repro.spark.crown_spark import SparkCrown
-from repro.spark.hivm_spark import SparkFirstOrderHIVM
+from repro.spark.state import local_frame
 from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
+from tests.test_batch_crown import R_S
 from tests.test_spark_crown import batched_graph_events
 
 
@@ -26,6 +27,22 @@ def test_engines_apply_the_query_selections(spark, engine_cls):
     rows = engine_cls(spark, cq).process_batch({"G": sd}).collect()
     assert want == {(1, 2, 3, 10)}
     assert {(r["sign"], *(r[x] for x in cq.output)) for r in rows} == {(1, 1, 2, 3, 10)}
+
+
+@pytest.mark.parametrize("engine_cls", [SparkCrown, SparkStandardCP, SparkFirstOrderHIVM])
+def test_tuples_holding_null_are_deleted(spark, engine_cls):
+    """A batch tuple holding a NULL finds its stored copy, so deleting it
+    retracts its results, while a NULL join attribute matches nothing."""
+    eng = engine_cls(spark, R_S)
+
+    def batch(r, s):
+        cols = ["sign", "v0", "v1"]
+        frames = {"R": local_frame(spark, r, cols), "S": local_frame(spark, s, cols)}
+        return {tuple(row) for row in eng.process_batch(frames).collect()}
+
+    assert batch([(1, None, 1), (1, 2, None)], [(1, 1, 2), (1, None, 3)]) == {(None, 1, 2, 1)}
+    assert batch([(-1, None, 1)], []) == {(None, 1, 2, -1)}
+    assert eng.full_result().collect() == []
 
 
 @pytest.mark.parametrize("engine_cls", [SparkStandardCP, SparkFirstOrderHIVM])
