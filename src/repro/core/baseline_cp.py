@@ -108,9 +108,7 @@ class _ViewEngine:
     """Tuple-at-a-time maintenance of the bag views over the atom sets
     ``views`` by ``view_plan``, with set-semantics output deltas.
 
-    Base relations are sets. An atom tuple holding a NULL in a join
-    attribute (one shared with another atom) matches nothing, as in SQL,
-    so it is not stored and its delete is a no-op.
+    Base relations are sets of the atom tuples that ``cq.admits``.
     """
 
     def __init__(
@@ -133,7 +131,6 @@ class _ViewEngine:
         self._view_idx: list[dict[tuple, dict]] = [{} for _ in views]
         self._base_idx: dict[str, dict[tuple, dict]] = {n: {} for n in self.base}
         rels = {r.name: r for r in cq.relations}
-        seen = Counter(a for r in cq.relations for a in r.attrs)
         self._atoms = {}
         for j, steps in view_plan(cq, views).items():
             compiled = []
@@ -144,18 +141,13 @@ class _ViewEngine:
                 joins = [(rels[n].attrs, on, self._base_idx[n].setdefault(on, {}))
                          for n, on in s.joins]
                 compiled.append((s.view, s.after, probe, joins))
-            attrs = rels[j].attrs
-            nulls = tuple(i for i, a in enumerate(attrs) if seen[a] > 1)
-            self._atoms[j] = (attrs, cq.selections_on(j), nulls, compiled)
+            self._atoms[j] = (rels[j].attrs, compiled)
 
     def apply(self, u: Update) -> list[tuple[int, tuple]]:
         out: list[tuple[int, tuple]] = []
         t = u.tuple
         for atom in self.cq.atoms_of_stream(u.stream):
-            _, preds, nulls, _ = self._atoms[atom.name]
-            if None in t and any(t[i] is None for i in nulls):
-                continue
-            if all(p(t) for p in preds):
+            if self.cq.admits(atom.name)(t):
                 out.extend(self._apply_atom(atom.name, t, u.is_insert))
         self.stats["updates"] += 1
         self.stats["deltas"] += len(out)
@@ -171,7 +163,7 @@ class _ViewEngine:
         base = self.base[rel]
         if (t in base) == is_insert:
             return []
-        attrs, _, _, steps = self._atoms[rel]
+        attrs, steps = self._atoms[rel]
         sign = 1 if is_insert else -1
         td = dict(zip(attrs, t))
         # a step's probe view and joined atoms exclude ``rel``, so no
@@ -267,45 +259,16 @@ def _index(idx: dict, k: tuple, x: object, add: bool) -> None:
 
 
 class StandardCPEngine(_ViewEngine):
-    """Standard change propagation over a left-deep plan.
-
-    ``delta_only=True`` models Trill (Table 1: delta enumeration, no full
-    enumeration); the default models Flink SQL.
-    """
+    """Standard change propagation over a left-deep plan: the Flink SQL
+    and Trill proxies of Table 1 and Figs. 7, 8, 11 and 12."""
 
     def __init__(
         self,
         cq: CQ,
-        delta_only: bool = False,
         post_filter: Callable[[YDict], bool] | None = None,
         max_view_rows: int | None = None,
     ) -> None:
         super().__init__(cq, prefixes(cq), post_filter, max_view_rows)
-        self.delta_only = delta_only
-
-    def full_result_set(self) -> set[tuple]:
-        if self.delta_only:
-            raise NotImplementedError("Trill proxy: no full enumeration (Table 1)")
-        return super().full_result_set()
-
-    def capabilities(self) -> dict[str, object]:
-        if self.delta_only:
-            return {
-                "system": "Trill",
-                "distributed": False,
-                "full_enumeration": False,
-                "delta_enumeration": True,
-                "updates": "arbitrary",
-                "internal": "standard change propagation",
-            }
-        return {
-            "system": "Flink",
-            "distributed": True,
-            "full_enumeration": True,
-            "delta_enumeration": False,
-            "updates": "FIFO",
-            "internal": "standard change propagation",
-        }
 
 
 class FirstOrderHIVMEngine(_ViewEngine):
@@ -323,13 +286,3 @@ class FirstOrderHIVMEngine(_ViewEngine):
         max_view_rows: int | None = None,
     ) -> None:
         super().__init__(cq, all_but_one(cq), post_filter, max_view_rows)
-
-    def capabilities(self) -> dict[str, object]:
-        return {
-            "system": "DBToaster",
-            "distributed": False,
-            "full_enumeration": True,
-            "delta_enumeration": False,
-            "updates": "arbitrary",
-            "internal": "HIVM",
-        }

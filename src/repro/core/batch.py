@@ -14,14 +14,15 @@ V_s rows only); and ``VP``s: the counted V_p = π_key V_s, one row per
 key valued by the number of V_s tuples that carry it (derivation
 counting at batch granularity). A piece ``(node, kind, cols, keys)``
 names the node's rows of that kind whose ``cols`` are among the literal
-``keys`` (kind ``VS``: the ROWs in V_s). A key from another node
-holding a NULL matches nothing, as in a join; a node's own tuple holding
-one matches its stored copy.
+``keys`` (kind ``VS``: the ROWs in V_s). Keys match null-safely, a NULL
+equal to a NULL: only the atom tuples that ``CQ.admits`` are stored, so
+no row or key holds a NULL on a join attribute, and a NULL elsewhere
+(an attribute of one atom that a tree key carries) is a plain value.
 
-Maintenance. A batch (one event per tuple) passes the atom selections
-and is propagated bottom-up in rounds. A round holds every touched node
-whose touched children are done; for hop3_full's tree these are
-{G1, G3}, {G2}, the root. A node is re-evaluated only on its
+Maintenance. A batch (one event per tuple) keeps the atom tuples that
+the query admits and is propagated bottom-up in rounds. A round holds
+every touched node whose touched children are done; for hop3_full's
+tree these are {G1, G3}, {G2}, the root. A node is re-evaluated only on its
 candidates: the batch's own tuples and the stored tuples under a
 child's changed key. A round's asks are one fetch: each node's rows
 under its candidates' keys, its own V_p counts and its children's V_p
@@ -93,12 +94,6 @@ def _proj(src: Sequence[str], cols: Sequence[str]) -> Callable[[tuple], tuple]:
     """Maps a tuple over ``src`` to its values on ``cols``."""
     idx = [list(src).index(c) for c in cols]
     return lambda t: tuple(t[i] for i in idx)
-
-
-def _non_null(keys: Iterable[tuple]) -> set[tuple]:
-    """The keys that can match another node's rows: as in a join, a
-    NULL matches nothing."""
-    return {k for k in keys if None not in k}
 
 
 class DictStore:
@@ -192,15 +187,14 @@ class BatchCrown:
         return self._output_delta(done)
 
     def _batches(self, streams: dict[str, list[tuple]]) -> dict[str, dict[tuple, int]]:
-        """Each relation node's tuples of the batch that pass its atom's
-        selections, with their signs."""
+        """Each relation node's tuples of the batch that its atom admits,
+        with their signs."""
         out: dict[str, dict[tuple, int]] = {}
         for atom in self.cq.relations:
             if atom.stream in streams:
-                sel = self.cq.selections_on(atom.name)
+                admit = self.cq.admits(atom.name)
                 out[self.tree.relation_node(atom.name)] = {
-                    tuple(r[1:]): r[0] for r in streams[atom.stream]
-                    if all(p(r[1:]) for p in sel)
+                    tuple(r[1:]): r[0] for r in streams[atom.stream] if admit(r[1:])
                 }
         return out
 
@@ -245,30 +239,30 @@ class BatchCrown:
             cand_keys[tuple(attrs)] |= set(batch)
         for c in children:
             if c.name in kids:
-                cand_keys[tuple(c.key)] |= _non_null(kids[c.name].keys)
+                cand_keys[tuple(c.key)] |= kids[c.name].keys
         # stored rows are also fetched under a child's affected tuples,
         # to climb them
         row_keys: Keys = defaultdict(set, {cols: set(ks) for cols, ks in cand_keys.items()})
         for c in children:
             if c.name in kids and set(c.key) != full:
                 up = _proj(c.attrs, c.key)
-                row_keys[tuple(c.key)] |= _non_null(map(up, kids[c.name].affected))
+                row_keys[tuple(c.key)] |= set(map(up, kids[c.name].affected))
 
-        # the V_p entries the candidates need: each child's, where a NULL
-        # matches nothing, and the node's own but at the root
-        vps = [(c, _non_null) for c in children] + ([] if root else [(node, set)])
+        # the V_p entries the candidates need: each child's, and the
+        # node's own but at the root
+        vps = children + ([] if root else [node])
         pieces = [(node.name, ROW, cols, ks) for cols, ks in row_keys.items()]
         late = []
-        for v, sure in vps if cand_keys else ():
+        for v in vps if cand_keys else ():
             if set(v.key) == full:
                 lits = list(cand_keys.items())
             elif all(set(v.key) <= set(cols) for cols in cand_keys):
                 lits = [(tuple(v.key),
                          {_proj(cols, v.key)(k) for cols, ks in cand_keys.items() for k in ks})]
             else:
-                late.append((v, sure))
+                late.append(v)
                 continue
-            pieces += [(v.name, VP, cols, sure(ks)) for cols, ks in lits]
+            pieces += [(v.name, VP, cols, ks) for cols, ks in lits]
         got = yield pieces
 
         stored_rows = got[(node.name, ROW)]
@@ -280,8 +274,8 @@ class BatchCrown:
             cands |= {_proj(c.key, attrs)(k) for c in children if set(c.key) == full
                       for k in got[(c.name, VP)]}
         if late and cands:
-            got = yield [(v.name, VP, tuple(v.key), sure(set(map(_proj(attrs, v.key), cands))))
-                         for v, sure in late]
+            got = yield [(v.name, VP, tuple(v.key), set(map(_proj(attrs, v.key), cands)))
+                         for v in late]
         held = [(_proj(attrs, c.key), set(got[(c.name, VP)])) for c in children]
 
         # formulae (3)/(4): in the new V_s iff in R_e and every child's
@@ -354,12 +348,8 @@ class BatchCrown:
                 break
             pieces = {}
             for name in names:
-                node = self.nodes[name]
-                if node is root:  # its own tuples: a NULL matches a NULL
-                    pieces[name] = (name, VS, tuple(cols), set(acc))
-                else:
-                    keys = _non_null(map(_proj(cols, node.key), acc))
-                    pieces[name] = (name, VS, tuple(node.key), keys)
+                on = cols if name == root.name else self.nodes[name].key
+                pieces[name] = (name, VS, tuple(on), set(map(_proj(cols, on), acc)))
             got = self._fetch(list(pieces.values()))
             for name in names:
                 node = self.nodes[name]

@@ -28,7 +28,6 @@ argument of Lemma 5.7 for insertions and deletions alike.
 """
 from __future__ import annotations
 
-from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -184,16 +183,9 @@ class CrownEngine:
         self.nodes: dict[str, _Node] = {
             n: _Node(self.tree, n, y) for n in self.tree.nodes
         }
-        # per atom: its tree node, its §7.2 selections and the positions of
-        # its join attributes (shared with another atom), where a NULL
-        # matches nothing, as in SQL; per stream: its atoms
-        seen = Counter(a for r in cq.relations for a in r.attrs)
+        # per atom: its tree node and its admission rule; per stream: its atoms
         self._atoms = {
-            r.name: (
-                self.nodes[self.tree.relation_node(r.name)],
-                cq.selections_on(r.name),
-                tuple(i for i, a in enumerate(r.attrs) if seen[a] > 1),
-            )
+            r.name: (self.nodes[self.tree.relation_node(r.name)], cq.admits(r.name))
             for r in cq.relations
         }
         self._stream_atoms: dict[str, list] = {}
@@ -261,14 +253,8 @@ class CrownEngine:
         """Process one update; return the delta as ``[(±1, y-tuple)]``."""
         out: list[tuple[int, tuple]] = []
         t = u.tuple
-        null = None in t
-        for node, preds, joins in self._stream_atoms.get(u.stream, ()):
-            if null and any(t[i] is None for i in joins):
-                continue  # it joins nothing: not stored, so its delete is a no-op too
-            for p in preds:
-                if not p(t):
-                    break  # §7.2: selection discards the update in O(1)
-            else:
+        for node, admit in self._stream_atoms.get(u.stream, ()):
+            if admit(t):
                 out.extend(self._apply_atom(node, t, u.is_insert))
         self.stats["updates"] += 1
         self.stats["deltas"] += len(out)
@@ -277,12 +263,9 @@ class CrownEngine:
     def apply_atom(self, rel: str, t: tuple, is_insert: bool) -> list[tuple[int, tuple]]:
         """Atom-level update (used by the HyperCube-partitioned engine,
         which dispatches each self-join copy independently)."""
-        node, preds, joins = self._atoms[rel]
-        if None in t and any(t[i] is None for i in joins):
+        node, admit = self._atoms[rel]
+        if not admit(t):
             return []
-        for p in preds:
-            if not p(t):
-                return []
         out = self._apply_atom(node, t, is_insert)
         self.stats["updates"] += 1
         self.stats["deltas"] += len(out)
@@ -618,15 +601,3 @@ class CrownEngine:
             if n.live is not None:
                 total += len(n.live)
         return total
-
-    @staticmethod
-    def capabilities() -> dict[str, object]:
-        """Row of the paper's Table 1 for CROWN."""
-        return {
-            "system": "CROWN",
-            "distributed": True,  # via repro.spark.partitioned
-            "full_enumeration": True,
-            "delta_enumeration": True,
-            "updates": "arbitrary",
-            "internal": "this paper",
-        }

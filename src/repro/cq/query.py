@@ -8,6 +8,7 @@ R, we apply the update to both copies").
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -77,7 +78,8 @@ class CQ:
     order. ``where`` holds ``(relation name, Selection)`` pairs, applied
     to incoming tuples of that relation (§7.2: selections cost O(1)
     and are pushed to the update stream). Each is bound once, at
-    construction, to its atom's attribute position.
+    construction, to its atom's attribute position, and folded into the
+    atom's admission rule (``admits``).
     """
 
     relations: tuple[Relation, ...]
@@ -87,6 +89,7 @@ class CQ:
     _preds: dict[str, tuple[Callable[[tuple], bool], ...]] = field(
         init=False, repr=False, compare=False
     )
+    _admits: dict[str, Callable[[tuple], bool]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [r.name for r in self.relations]
@@ -102,6 +105,12 @@ class CQ:
                 raise ValueError(f"selection on {sel.attr}: not an attribute of {rel}{attrs}")
             preds[rel] = preds.get(rel, ()) + (sel.predicate(attrs.index(sel.attr)),)
         object.__setattr__(self, "_preds", preds)
+        seen = Counter(a for r in self.relations for a in r.attrs)
+        object.__setattr__(self, "_admits", {
+            r.name: _admitter(tuple(i for i, a in enumerate(r.attrs) if seen[a] > 1),
+                              preds.get(r.name, ()))
+            for r in self.relations
+        })
 
     @property
     def all_attrs(self) -> frozenset[str]:
@@ -132,6 +141,15 @@ class CQ:
         """The compiled selections of one atom (empty when it has none)."""
         return self._preds.get(rel, ())
 
+    def admits(self, rel: str) -> Callable[[tuple], bool]:
+        """The predicate "a tuple of atom ``rel`` exists for the query at
+        all": False when the tuple holds a NULL on an attribute shared
+        with another atom (a NULL joins nothing, as in SQL) or fails one
+        of the atom's selections. Every engine stores and propagates only the
+        tuples it admits, so a rejected insert and its delete are both
+        no-ops."""
+        return self._admits[rel]
+
     def atoms_of_stream(self, stream: str) -> list[Relation]:
         """All copies fed by one logical stream (self-join fan-out)."""
         return [r for r in self.relations if r.stream == stream]
@@ -141,3 +159,14 @@ class CQ:
 
     def with_output(self, output: Iterable[str]) -> "CQ":
         return CQ(self.relations, tuple(output), self.name, self.where)
+
+
+def _admitter(joins: tuple[int, ...], preds: tuple[Callable[[tuple], bool], ...]
+              ) -> Callable[[tuple], bool]:
+    """The admission rule of an atom whose join attributes sit at
+    ``joins`` and whose compiled selections are ``preds``; an atom with
+    no selection gets the shorter lambda, as it is called per update."""
+    if not preds:
+        return lambda t: None not in t or all(t[i] is not None for i in joins)
+    sel = preds[0] if len(preds) == 1 else (lambda t: all(p(t) for p in preds))
+    return lambda t: (None not in t or all(t[i] is not None for i in joins)) and sel(t)

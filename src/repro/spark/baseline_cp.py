@@ -2,8 +2,10 @@
 (standard CP) and DBToaster-Spark (first-order HIVM, [32]) proxies.
 
 Both run ``repro.core.baseline_cp.view_plan`` at batch granularity. Each
-view is a DataFrame bag with a multiplicity column ``__m``. Per batch and
-per updated atom, the atom's effective delta takes each plan step as a
+view is a DataFrame bag with a multiplicity column ``__m``. Each stream
+frame is collected once per batch; an atom's delta is a local frame of
+the stream's rows that ``cq.admits`` for the atom. Per batch and per
+updated atom, the atom's effective delta takes each plan step as a
 **view ⋈ delta** or base-relation join (a cross join where no attribute
 is shared; first-order HIVM really does materialize such products), and
 is folded into the step's view and then into the result bag. Space and
@@ -18,7 +20,7 @@ from pyspark.sql import functions as F
 from repro.core.baseline_cp import all_but_one, attrs_of, prefixes, view_plan
 from repro.cq.query import CQ
 from repro.spark.state import (
-    checkpoint, effective, empty_df, fold_bag, same_rows, selection_filters, set_delta,
+    checkpoint, collect_streams, effective, empty_df, fold_bag, local_frame, same_rows, set_delta,
 )
 
 
@@ -34,8 +36,8 @@ class _SparkViews:
     """Batch maintenance of the bag views over the atom sets ``views``."""
 
     def __init__(self, spark: SparkSession, cq: CQ, views: list[frozenset[str]]) -> None:
+        self.spark = spark
         self.cq = cq
-        self.atom_filters = selection_filters(cq)
         self.rels = {r.name: r for r in cq.relations}
         self.plan = view_plan(cq, views)
         self.view_attrs = [list(attrs_of(cq, v)) for v in views]
@@ -49,17 +51,14 @@ class _SparkViews:
         """Apply one (compacted) batch; return signed output delta."""
         out = list(self.cq.output)
         result_old = self.result
+        streams = collect_streams(self.cq, stream_deltas)
         for atom, rel in self.rels.items():
-            sd = stream_deltas.get(rel.stream)
-            if sd is None:
-                continue
-            d = sd.toDF("sign", *rel.attrs)
-            flt = self.atom_filters.get(atom)
-            if flt is not None:
-                d = d.filter(flt)
-            if d.isEmpty():
+            admit = self.cq.admits(atom)
+            rows = [r for r in streams.get(rel.stream, ()) if admit(r[1:])]
+            if not rows:
                 continue
             acols = list(rel.attrs)
+            d = local_frame(self.spark, rows, ["sign", *acols])
             ins, dels = effective(d, self.base[atom], acols)
             eff = ins.withColumn("__m", F.lit(1)).unionByName(dels.withColumn("__m", F.lit(-1)))
             deltas: list[DataFrame] = []

@@ -40,7 +40,9 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from repro.core.batch import ROW, VP, VS, BatchCrown, Got, Piece, columns
 from repro.cq.join_tree import JoinTree
 from repro.cq.query import CQ
-from repro.spark.state import checkpoint, empty_df, local_frame, selection_filters
+from repro.spark.state import (
+    checkpoint, collect_streams, empty_df, local_frame, selection_filters,
+)
 
 KIND_SQL = {ROW: f"_k = {ROW}", VP: f"_k = {VP}", VS: f"_k = {ROW} AND _v = 1"}
 
@@ -50,9 +52,10 @@ def _quoted(cols: Iterable[str]) -> list[str]:
 
 
 def _in(cols: Sequence[str], keys: list[tuple]) -> str:
-    """SQL for "the row's ``cols`` are one of the NULL-free ``keys``",
-    never NULL: ``IN`` for one column, tuple ``IN`` (which compares
-    null-safely) for several."""
+    """SQL for "the row's ``cols`` are one of ``keys``", never NULL:
+    ``IN`` for one column, tuple ``IN`` (which compares null-safely) for
+    several. The keys hold no NULL: ``_member`` tests a key's NULL
+    places apart, with ``IS NULL``."""
     if len(cols) == 1:
         return f"coalesce(`{cols[0]}` IN ({', '.join(f'{k[0]}L' for k in keys)}), false)"
     lits = ", ".join("(" + ", ".join(f"{v}L" for v in k) + ")" for k in keys)
@@ -84,7 +87,8 @@ def _member(cols: Sequence[str], keys: list[tuple]) -> str:
 class SparkCrown:
     """Micro-batch CROWN: the batch core ``core`` (with the last batch's
     ``stats``) over this store. ``atom_filters``, if given, must be the
-    query's selections as Spark columns; the core applies them compiled."""
+    query's selections as Spark columns; they are only checked, as the
+    core admits atom tuples through ``cq.admits``."""
 
     def __init__(self, spark: SparkSession, cq: CQ, tree: JoinTree | None = None,
                  atom_filters: dict[str, Column] | None = None) -> None:
@@ -117,10 +121,7 @@ class SparkCrown:
         collected once: with no job if it is a ``LocalRelation``.
         """
         self.actions = Counter()
-        rows = self.core.process_batch({
-            s: [tuple(r) for r in df.collect()]
-            for s, df in stream_deltas.items() if self.cq.atoms_of_stream(s)
-        })
+        rows = self.core.process_batch(collect_streams(self.cq, stream_deltas))
         return local_frame(self.spark, rows, [*self.cq.output, "sign"])
 
     # ------------------------------------------------------------------

@@ -42,6 +42,13 @@ def local_frame(spark: SparkSession, rows: list[tuple], cols: list[str]) -> Data
     return spark.createDataFrame(pa.Table.from_arrays(arrays, names=list(cols)))
 
 
+def collect_streams(cq: CQ, frames: dict[str, DataFrame]) -> dict[str, list[tuple]]:
+    """Each frame of a stream that feeds an atom of ``cq``, collected
+    once into tuples: with no Spark job if it is a ``LocalRelation``."""
+    return {s: [tuple(r) for r in df.collect()] for s, df in frames.items()
+            if cq.atoms_of_stream(s)}
+
+
 def checkpoint(df: DataFrame) -> DataFrame:
     """Eager localCheckpoint: truncate lineage, keep the data cached."""
     return df.localCheckpoint(eager=True)

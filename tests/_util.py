@@ -112,9 +112,11 @@ def check_full_result(eng) -> set:
 def jobs_of(spark, fn):
     """``fn()`` with the number of Spark jobs, stages and tasks it ran,
     read from the status tracker under a job group of its own. The tasks
-    are the sum of ``numTasks`` over each job's stages. The group name is
-    fresh per call: one built from ``id(fn)`` is reused once ``fn`` is
-    freed, and the status tracker would add the earlier call's jobs."""
+    are the sum of ``numTasks`` over each job's stages. A job or stage
+    that the tracker has no info on (it returns None, as for some of the
+    Spark baselines' stages) is skipped. The group name is fresh per
+    call: one built from ``id(fn)`` is reused once ``fn`` is freed, and
+    the status tracker would add the earlier call's jobs."""
     ctx = spark.sparkContext
     group = f"jobs-of-{uuid.uuid4().hex}"
     ctx.setJobGroup(group, group)
@@ -126,7 +128,7 @@ def jobs_of(spark, fn):
     # the status tracker is fed asynchronously by the listener bus
     ctx._jsc.sc().listenerBus().waitUntilEmpty()
     tracker = ctx.statusTracker()
-    jobs = tracker.getJobIdsForGroup(group)
-    stage_ids = [s for j in jobs for s in tracker.getJobInfo(j).stageIds]
-    tasks = sum(tracker.getStageInfo(s).numTasks for s in stage_ids)
-    return out, len(jobs), len(stage_ids), tasks
+    jobs = [j for j in map(tracker.getJobInfo, tracker.getJobIdsForGroup(group))
+            if j is not None]
+    stages = [s for j in jobs for s in map(tracker.getStageInfo, j.stageIds) if s is not None]
+    return out, len(jobs), len(stages), sum(s.numTasks for s in stages)

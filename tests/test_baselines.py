@@ -3,10 +3,14 @@ DBToaster): correctness vs brute force, Table 1 capabilities, and the
 space blowup CROWN avoids."""
 import pytest
 
-from repro.bench.harness import ENGINES, graph_stream, make_engine
+import random
+
+from repro.bench.harness import ENGINES, TABLE1, graph_stream
 from repro.bench.queries import GRAPH_QUERIES, hop3_proj, star
 from repro.core.baseline_cp import FirstOrderHIVMEngine, StandardCPEngine
+from repro.core.batch import BatchCrown
 from repro.core.engine import CrownEngine
+from repro.cq.query import CQ, Relation, Selection
 from repro.streams.sequences import Update
 from tests._util import fuzz_engine_vs_naive, random_updates
 from tests.test_batch_crown import R_S
@@ -65,6 +69,64 @@ def test_null_join_attributes_match_nothing(engine_cls, seed):
     )
 
 
+# R(A, B) ⋈ S(B, C) ⋈ T(C, D) with T's selection D % 2 = 0; the tuples
+# that ``admits`` rejects: a NULL join attribute, or a failed selection
+R_S_T = CQ((Relation("R", ("A", "B")), Relation("S", ("B", "C")), Relation("T", ("C", "D"))),
+           ("A", "B", "C"), name="r_s_t", where=(("T", Selection("D", "%", 2)),))
+REJECTED = [("R", (1, None)), ("S", (None, 2)), ("S", (1, None)), ("T", (None, 2)),
+            ("T", (1, 3)), ("T", (1, None))]
+
+
+def admission_stream(seed=0, steps=120):
+    """Random updates of tuples that R_S_T admits (A may be NULL, a plain
+    value), with each rejected tuple inserted, deleted and re-inserted."""
+    rng = random.Random(seed)
+    values = {"R": ([None, 0, 1, 2], [0, 1, 2]), "S": ([0, 1, 2], [0, 1, 2]),
+              "T": ([0, 1, 2], [0, 2, 4])}
+    live, out = set(), []
+    for _ in range(steps):
+        s = rng.choice(sorted(values))
+        t = tuple(rng.choice(v) for v in values[s])
+        out.append(Update(s, t, (s, t) not in live))
+        live ^= {(s, t)}
+    q = steps // 4
+    rejected = [[Update(s, t, ins) for s, t in REJECTED] for ins in (True, False, True)]
+    return (out[:q] + rejected[0] + out[q:2 * q] + rejected[1] + out[2 * q:3 * q]
+            + rejected[2] + out[3 * q:])
+
+
+def _stored(bc):
+    return {tag: rows for tag, rows in bc.store.rows.items() if rows}
+
+
+def _process(bc, u):
+    return bc.process_batch({u.stream: [(1 if u.is_insert else -1, *u.tuple)]})
+
+
+@pytest.mark.parametrize("make,apply,state", [
+    (CrownEngine, CrownEngine.apply, CrownEngine.space),
+    (StandardCPEngine, StandardCPEngine.apply, StandardCPEngine.space),
+    (FirstOrderHIVMEngine, FirstOrderHIVMEngine.apply, FirstOrderHIVMEngine.space),
+    (BatchCrown, _process, _stored),
+], ids=["crown", "standard_cp", "hivm", "batch_crown"])
+def test_rejected_tuples_change_nothing(make, apply, state):
+    """Every engine admits atom tuples through ``cq.admits``: on a stream
+    holding rejected tuples it gives the deltas and the state (``space()``,
+    or the batch core's stored rows, one batch per update) that it gives
+    on the same stream without them, update by update."""
+    full, clean = make(R_S_T), make(R_S_T)
+    deltas = 0
+    for u in admission_stream():
+        got = apply(full, u)
+        if (u.stream, u.tuple) in REJECTED:
+            assert not got
+        else:
+            assert got == apply(clean, u)
+            deltas += len(got)
+        assert state(full) == state(clean)
+    assert deltas > 0
+
+
 @pytest.mark.parametrize("engine_cls", [StandardCPEngine, FirstOrderHIVMEngine])
 @pytest.mark.parametrize("factory,want", [
     (hop3_proj, {StandardCPEngine: (809, 44027, 1992), FirstOrderHIVMEngine: (809, 296094, 24011)}),
@@ -93,13 +155,6 @@ def test_cp_full_result_readable():
         seed=9,
     )
     assert eng.full_result_set() == cur
-
-
-def test_trill_proxy_rejects_full_enumeration():
-    bq = GRAPH_QUERIES["3hop_full"]()
-    eng = StandardCPEngine(bq.cq, delta_only=True)
-    with pytest.raises(NotImplementedError):
-        eng.full_result_set()
 
 
 def test_hivm_full_result_readable():
@@ -162,33 +217,30 @@ class TestSpaceBlowup:
 
 
 class TestTable1:
-    """The feature matrix of Table 1, asserted programmatically."""
+    """The feature matrix of Table 1 (``harness.TABLE1``), asserted
+    programmatically."""
 
     def test_crown_row(self):
-        row = CrownEngine.capabilities()
+        row = TABLE1["crown"]
         assert row["full_enumeration"] and row["delta_enumeration"]
         assert row["updates"] == "arbitrary" and row["distributed"]
 
     def test_flink_row(self):
-        bq = GRAPH_QUERIES["3hop_full"]()
-        row = StandardCPEngine(bq.cq).capabilities()
+        row = TABLE1["flink_cp"]
         assert row["full_enumeration"] and not row["delta_enumeration"]
         assert row["internal"] == "standard change propagation"
 
     def test_trill_row(self):
-        bq = GRAPH_QUERIES["3hop_full"]()
-        row = StandardCPEngine(bq.cq, delta_only=True).capabilities()
+        row = TABLE1["trill_delta"]
         assert row["delta_enumeration"] and not row["full_enumeration"]
         assert not row["distributed"]
 
     def test_dbtoaster_row(self):
-        bq = GRAPH_QUERIES["3hop_full"]()
-        row = FirstOrderHIVMEngine(bq.cq).capabilities()
+        row = TABLE1["dbtoaster_hivm"]
         assert row["internal"] == "HIVM" and row["updates"] == "arbitrary"
 
     def test_only_crown_supports_both_enumeration_modes(self):
-        bq = GRAPH_QUERIES["3hop_full"]()
-        rows = [make_engine(name, bq).capabilities() for name in ENGINES]
+        rows = [TABLE1[name] for name in ENGINES]
         assert [r["system"] for r in rows] == ["CROWN", "Flink", "DBToaster", "Trill"]
         assert [r["full_enumeration"] for r in rows] == [True, True, True, False]
         assert [r["delta_enumeration"] for r in rows] == [True, False, False, True]

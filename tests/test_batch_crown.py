@@ -133,9 +133,11 @@ def null_batches(bulk):
 
 
 def check_null_rows(store, tree, kept):
-    """R's stored rows are ``kept``; R is a leaf unless it is the root,
-    so its V_p counts the tuples per B."""
+    """R's stored rows are those of ``kept`` that R_S admits, the ones
+    whose join attribute B is not NULL; R is a leaf unless it is the
+    root, so its V_p counts the tuples per B."""
     r = tree.relation_node("R")
+    kept = [t for t in kept if t[1] is not None]
     assert set(whole(store, r, ROW)) == set(kept)
     want = Counter() if tree.root == "R" else Counter(b for _, b in kept)
     assert whole(store, r, VP) == {(b,): n for b, n in want.items()}
@@ -163,6 +165,30 @@ def test_tuples_holding_null_are_deleted(tree, bulk):
     for batch in batches:
         check_events(bc, core, batch)
     check_null_rows(bc.store, tree, kept)
+
+
+# message(m, c, ro) ⋈ knows(a, c) with y = (c, ro): ``ro``, the attribute
+# of one atom, is in a tree key of most trees, so a message whose ``ro``
+# is NULL is a plain result row (2, NULL) that every tree must give
+MSG_KNOWS = CQ((Relation("message", ("m", "c", "ro")), Relation("knows", ("a", "c"))),
+               ("c", "ro"), name="msg_knows")
+NULL_RO_BATCHES = [
+    [("message", 1, (1, 2, None)), ("message", 1, (3, 2, 7)), ("knows", 1, (9, 2)),
+     ("message", 1, (4, 5, None))],
+    [("knows", 1, (8, 5)), ("message", -1, (3, 2, 7))],
+    [("knows", -1, (9, 2)), ("message", 1, (5, 2, None))],
+    [("knows", 1, (9, 2)), ("message", -1, (1, 2, None))],
+    [("message", -1, (5, 2, None)), ("knows", -1, (8, 5))],
+]
+
+
+@pytest.mark.parametrize("i", range(len(free_connex_trees(MSG_KNOWS))))
+def test_null_in_a_non_join_key_attribute_is_a_value(i):
+    tree = free_connex_trees(MSG_KNOWS)[i]
+    bc, core = BatchCrown(MSG_KNOWS, tree), CrownEngine(MSG_KNOWS, tree)
+    for batch in NULL_RO_BATCHES:
+        check_events(bc, core, batch)
+    assert core.full_result_set() == set()
 
 
 @pytest.mark.parametrize("cq", BOOLEAN_QUERIES, ids=lambda cq: cq.name)

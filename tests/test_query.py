@@ -92,6 +92,20 @@ def test_selection_must_fit_its_atom():
         Selection("a", "is null", 1)
 
 
+def test_admits_drops_null_join_attributes_and_failed_selections():
+    """``admits`` rejects a NULL on an attribute shared with another
+    atom, and a tuple that fails a selection; a NULL elsewhere is a
+    plain value."""
+    cq = CQ((Relation("message", ("m", "c", "ro")), Relation("knows", ("a", "c"))), ("c",),
+            where=(("message", Selection("ro", "is null")), ("knows", Selection("a", "%", 2)),
+                   ("knows", Selection("a", "%", 3))))
+    message, knows = cq.admits("message"), cq.admits("knows")
+    assert message((1, 2, None)) and message((None, 2, None))
+    assert not message((1, None, None)) and not message((1, 2, 3))
+    assert knows((6, 2)) and not knows((6, None)) and not knows((None, 2))
+    assert not knows((4, 2)) and not knows((3, 2))
+
+
 # NULL, multiples of 10 (a negative one too) and non-multiples
 SPEC_VALUES = [None, 0, 7, 10, -10, -7, 25, 30]
 

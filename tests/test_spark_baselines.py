@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.bench.queries import hop3_full, hop3_proj
+from repro.bench.queries import hop3_full, hop3_proj, star
 from repro.core.engine import CrownEngine
 from repro.oracle import assert_equivalent
 from repro.spark.baseline_cp import SparkFirstOrderHIVM, SparkStandardCP
@@ -10,6 +10,7 @@ from repro.spark.crown_spark import SparkCrown
 from repro.spark.state import local_frame
 from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
+from tests._util import jobs_of
 from tests.test_batch_crown import R_S
 from tests.test_spark_crown import batched_graph_events
 
@@ -99,3 +100,37 @@ def test_hivm_vs_duckdb(spark):
         {"G": spark.createDataFrame(g.assign(sign=1)[["sign", "src", "dst"]])}
     )
     assert_equivalent(eng.full_result(), bq.sql, G=g)
+
+
+class _Forgetful:
+    """A status tracker that has lost the info on the odd stage ids, as
+    Spark's status store does once it holds more than
+    ``spark.ui.retainedStages`` (skipped stages go first): after about
+    2,000 stages of the Spark baselines, ``getStageInfo`` returns None
+    for some of a new batch's stages."""
+
+    def __init__(self, tracker):
+        self.tracker = tracker
+
+    def __getattr__(self, name):
+        return getattr(self.tracker, name)
+
+    def getStageInfo(self, stage_id):
+        return None if stage_id % 2 else self.tracker.getStageInfo(stage_id)
+
+
+@pytest.mark.parametrize("engine_cls", [SparkStandardCP, SparkFirstOrderHIVM])
+def test_jobs_of_counts_the_baselines_jobs(spark, engine_cls, monkeypatch):
+    """``tests._util.jobs_of`` counts a baseline batch's Spark jobs,
+    stages and tasks, and skips the stages the status tracker has no
+    info on."""
+    eng = engine_cls(spark, star().cq)
+    ctx = spark.sparkContext
+    tracker = ctx.statusTracker
+    cold, warm = (local_frame(spark, b, ["sign", "a", "b"])
+                  for b in batched_graph_events(n_batches=2, per_batch=30, seed=11))
+    _, jobs, stages, tasks = jobs_of(spark, lambda: eng.process_batch({"G": cold}).collect())
+    assert 0 < jobs <= stages <= tasks
+    monkeypatch.setattr(ctx, "statusTracker", lambda: _Forgetful(tracker()))
+    _, jobs, stages, tasks = jobs_of(spark, lambda: eng.process_batch({"G": warm}).collect())
+    assert 0 < jobs and stages <= tasks

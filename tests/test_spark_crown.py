@@ -18,8 +18,8 @@ from repro.spark.state import local_frame
 from repro.synth_data import graph_edges_pdf
 from tests._util import jobs_of
 from tests.test_batch_crown import (
-    R_S, batched_graph_events, check_null_rows, check_vp_counts, check_vp_stats, net_delta,
-    null_batches, vp_steps, whole,
+    MSG_KNOWS, NULL_RO_BATCHES, R_S, batched_graph_events, check_null_rows, check_vp_counts,
+    check_vp_stats, net_delta, null_batches, vp_steps, whole,
 )
 from tests.test_engine_deltas import BOOLEAN_QUERIES
 
@@ -182,6 +182,17 @@ def test_tuples_holding_null_are_deleted(spark, tree, bulk):
     check_null_rows(sc, tree, kept)
     # no row is stored twice
     assert sc.state_rows() == sum(len(whole(sc, n, k)) for n in tree.nodes for k in (ROW, VP))
+
+
+def test_null_in_a_non_join_key_attribute_is_a_value(spark):
+    """On the tree rooted at [c,ro] above message (key (c, ro)), a
+    message whose ``ro`` is NULL gives the result (2, NULL)."""
+    tree = next(t for t in free_connex_trees(MSG_KNOWS)
+                if t.root == "[c,ro]" and t.node("knows").parent == "message")
+    sc, core = SparkCrown(spark, MSG_KNOWS, tree), CrownEngine(MSG_KNOWS, tree)
+    for batch in NULL_RO_BATCHES:
+        _check_events(spark, sc, core, batch)
+    _check_full_result(sc, core)
 
 
 def test_member_groups_keys_by_their_nulls():
