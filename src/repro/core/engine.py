@@ -12,6 +12,9 @@ generalized join tree:
   indexes (derivation counting);
 - the live view ``V_l(R_e) = π_{e∩y} Q(D)`` (Lemma 5.5), used for
   witness detection (Def. 5.6) and the delta-enumeration chains.
+  After each update only the live nodes below a witness can change;
+  their candidate values are read off the delta's factors: the S-chain
+  partials and the per-key child rows.
 
 Per update the engine emits the exact delta ``ΔQ(D, t)`` (Algorithm 6)
 and supports full enumeration (Algorithm 5). Deletions are two-phase:
@@ -24,7 +27,9 @@ Design notes (see DESIGN.md § semantic decisions): witnesses use
 ``Δ(π_y V_s)`` via projection refcounts; witness checks and S-chains
 exclude the current update's own Δ values at every chain node, which
 realizes the "highest changed node claims the result" disjointness
-argument of Lemma 5.7 for insertions and deletions alike.
+argument of Lemma 5.7 for insertions and deletions alike. The same
+exclusion keeps every chain value live across the update, so V_l
+upkeep is limited to the witness node's subtree.
 """
 from __future__ import annotations
 
@@ -48,7 +53,7 @@ def _getter(pos: Iterable[int]) -> Callable[[tuple], tuple]:
 class _Node:
     """Mutable per-node state (views, counters, hash indexes). The
     enumeration fields (``layout``, ``enum_children``, ``rows_by_key``,
-    ``sat``, ``up_idx``, ``live_get``) are set by ``CrownEngine._compile``."""
+    ``sat``, ``up_idx``) are set by ``CrownEngine._compile``."""
 
     def __init__(self, tree: JoinTree, name: str, y: frozenset[str]) -> None:
         tn = tree.node(name)
@@ -196,8 +201,12 @@ class CrownEngine:
 
     def _compile(self) -> None:
         """Plan-time positional layouts. ``node.layout`` names the columns
-        of ``_enum_key(node, ·)``'s tuples; a witness plan maps its
-        S-chain and the rest of its result into ``cq.output`` order."""
+        of ``_enum_key(node, ·)``'s tuples. A witness plan, for the root
+        and for each node with output attrs under a live parent, is
+        ``(chain, kids, out_get, heads)``: the S-chain steps to the root,
+        the enumerated children joined onto the chain's partial (each
+        with the V_l getters it feeds), the map of a result into
+        ``cq.output`` order, and the V_l getters read off the partial."""
         out, nodes = self.cq.output, self.nodes
 
         def into(layout: tuple[str, ...], attrs: Iterable[str]) -> Callable:
@@ -223,28 +232,47 @@ class CrownEngine:
         self._root_out = into(preorder[0].layout, out)
         # live nodes root-first (deletion check is top-down)
         self._live_nodes = [n for n in preorder if n.live_maintained]
+        live_at = {n.name: i for i, n in enumerate(self._live_nodes)}
         self._wplans: dict[str, tuple] = {}
         for n in preorder:
             parent = nodes[n.parent] if n.parent else None
             up = parent is not None and parent.live is not None
             n.up_idx = parent.live_idx[n.name] if up else None
-            if n.live_maintained:
-                n.live_get = into(out, n.y_attrs)
-            if not up or not n.y_attrs:
+            if not n.is_root and not (up and n.y_attrs):
                 continue
             path = [nodes[p] for p in self.tree.path_to_root(n.name)]
             layout, chain, kids = n.y_attrs, [], []
             for prev, f in zip(path, path[1:]):
                 chain.append((f.name, f.live_idx[prev.name], into(layout, prev.key_y_attrs)))
                 layout += f.y_attrs
+            head = layout
             for prev, f in zip([None] + path, path):
                 if f.boundary:
                     continue  # the subtree contributes only e∩y, already in the chain
                 for c, _ in f.enum_children:
                     if c is not prev:
-                        kids.append((c, into(layout, self.tree.key(c.name))))
+                        kids.append((c, into(layout, self.tree.key(c.name)), []))
                         layout += c.layout
-            self._wplans[n.name] = (chain, kids, into(layout, out))
+            # V_l getters: only the live nodes of n's subtree can change
+            # (DESIGN.md), each read from the head or from one of n's own
+            # enumerated children (the first kids when n is no boundary)
+            own = [] if n.boundary else kids[: len(n.enum_children)]
+            heads: list[tuple[int, Callable]] = []
+            for m in self.tree.subtree(n.name):
+                if m not in live_at:
+                    continue
+                ya = nodes[m].y_attrs
+                if set(ya) <= set(head):
+                    heads.append((live_at[m], into(head, ya)))
+                    continue
+                kid = next((k for k in own if set(ya) <= set(k[0].layout)), None)
+                if kid is None:
+                    raise ValueError(
+                        f"live node {m}: y-attributes {ya} are in neither the "
+                        f"witness plan head {head} of {n.name} nor one child's rows"
+                    )
+                kid[2].append((live_at[m], into(kid[0].layout, ya)))
+            self._wplans[n.name] = (chain, kids, into(layout, out), heads)
 
     # ------------------------------------------------------------------
     # update entry points
@@ -294,15 +322,13 @@ class CrownEngine:
             return []  # set semantics: non-effective update
         if is_insert:
             changes = self._insert_propagate(node, t)
-            results = self._collect_deltas(changes) if self.emit_deltas else []
-            if self.emit_deltas:
-                self._live_insert(results)
+            results, lives = self._collect_deltas(changes) if self.emit_deltas else ([], [])
+            self._live_insert(lives)
         else:
             changes, plan = self._delete_probe(node, t)
-            results = self._collect_deltas(changes) if self.emit_deltas else []
+            results, lives = self._collect_deltas(changes) if self.emit_deltas else ([], [])
             self._delete_apply(plan)
-            if self.emit_deltas:
-                self._live_delete(results)
+            self._live_delete(lives)
         sign = 1 if is_insert else -1
         return [(sign, r) for r in self._filtered(results)]
 
@@ -316,8 +342,10 @@ class CrownEngine:
     # ------------------------------------------------------------------
     # propagation (Algorithms 2–4, level-wise along the path to root)
     # ------------------------------------------------------------------
-    def _insert_propagate(self, node: _Node, t: tuple) -> dict[str, dict[str, set]]:
-        changes: dict[str, dict[str, set]] = {}
+    def _insert_propagate(self, node: _Node, t: tuple) -> dict[str, set]:
+        """R-/S-/P-UPDATE for an insert; returns each changed node's
+        Δ(π_y V_s) values."""
+        changes: dict[str, set] = {}
         # R-UPDATE (Algorithm 4): count satisfied children
         cnt = self._child_sat_count(node, t)
         for idx, g in node.cidx:
@@ -326,16 +354,15 @@ class CrownEngine:
         self.stats["counter_changes"] += 1
         entering: list[tuple] = [t] if cnt == node.n_children else []
         while True:
-            vs_d, y_d, vp_d = set(), set(), set()
+            y_d, vp_d = set(), set()
             for t2 in entering:
-                vs_d.add(t2)
                 new_vp, new_y = node._vs_add(t2)
                 if new_vp is not None:
                     vp_d.add(new_vp)
                 if new_y is not None:
                     y_d.add(new_y)
-            if vs_d:
-                changes[node.name] = {"vs": vs_d, "y": y_d, "vp": vp_d}
+            if y_d:
+                changes[node.name] = y_d
             if node.is_root or not vp_d:
                 break
             child, node = node, self.nodes[node.parent]
@@ -385,9 +412,10 @@ class CrownEngine:
 
     def _delete_probe(
         self, node: _Node, t: tuple
-    ) -> tuple[dict[str, dict[str, set]], list]:
-        """Non-mutating pass: compute all view changes + an apply plan."""
-        changes: dict[str, dict[str, set]] = {}
+    ) -> tuple[dict[str, set], list]:
+        """Non-mutating pass: each changed node's Δ(π_y V_s) values (as
+        ``_insert_propagate``) + an apply plan."""
+        changes: dict[str, set] = {}
         plan: list[dict] = []
         leaving: set = {t} if node.in_vs(t) else set()
         child_name: str | None = None
@@ -404,8 +432,8 @@ class CrownEngine:
             vp_d = set() if node.is_root else {
                 kv for kv, c in kcnt.items() if len(node.vs_by_key.get(kv, ())) == c
             }
-            if leaving:
-                changes[node.name] = {"vs": set(leaving), "y": y_d, "vp": vp_d}
+            if y_d:
+                changes[node.name] = y_d
             plan.append(
                 {
                     "node": node.name,
@@ -473,28 +501,28 @@ class CrownEngine:
     # ------------------------------------------------------------------
     # witnesses (Def. 5.6) and delta enumeration (Algorithm 6)
     # ------------------------------------------------------------------
-    def _collect_deltas(self, changes: dict[str, dict[str, set]]) -> list[tuple]:
-        """Every result claimed by a witness, in ``cq.output`` order.
+    def _collect_deltas(self, changes: dict[str, set]) -> tuple[list[tuple], list[set]]:
+        """Every result claimed by a witness, in ``cq.output`` order, and
+        per live node (``_live_nodes`` order) the V_l values those
+        results project onto, read from the results' factors: a plan's
+        head getters act once per partial, its child getters once per
+        distinct child key.
 
         A Δ(π_y V_s) value is a witness iff its first S-chain step joins
         a parent live value outside this update's own Δ values, so the
         S-chain walk is the witness check. Each chain step excludes the
-        update's Δ values at that node (disjointness, Lemma 5.7)."""
+        update's Δ values at that node (disjointness, Lemma 5.7). The
+        root's plan has no chain: each of its Δ values is a witness."""
         out: list[tuple] = []
-        for name, ch in changes.items():
-            node = self.nodes[name]
-            if node.is_root:
-                for t in ch["vs"]:
-                    out.extend(map(self._root_out, self._enum_tuple(node, t)))
+        lives: list[set] = [set() for _ in self._live_nodes]
+        seen: set[tuple] = set()  # (child, key) pairs already read for V_l
+        for name, ys in changes.items():
+            plan = self._wplans.get(name)
+            if plan is None:
                 continue
-            if name not in self._wplans:
-                continue
-            chain, kids, out_get = self._wplans[name]
-            steps = [
-                (idx, jget, changes[f]["y"] if f in changes else ())
-                for f, idx, jget in chain
-            ]
-            for yv in ch["y"]:
+            chain, kids, out_get, heads = plan
+            steps = [(idx, jget, changes.get(f, ())) for f, idx, jget in chain]
+            for yv in ys:
                 partials = [yv]
                 for idx, jget, excl in steps:
                     partials = [
@@ -502,12 +530,19 @@ class CrownEngine:
                         for lv in idx.get(jget(p), ()) if lv not in excl
                     ]
                 for q in partials:
+                    for i, get in heads:
+                        lives[i].add(get(q))
                     rows = [q]
-                    for c, g in kids:
-                        part = self._enum_key(c, g(q))
+                    for c, g, lg in kids:
+                        k = g(q)
+                        part = self._enum_key(c, k)
+                        if lg and (c, k) not in seen:
+                            seen.add((c, k))
+                            for i, get in lg:
+                                lives[i].update(map(get, part))
                         rows = [r + x for r in rows for x in part]
                     out.extend(map(out_get, rows))
-        return out
+        return out, lives
 
     # ------------------------------------------------------------------
     # full enumeration (Algorithm 5)
@@ -547,25 +582,29 @@ class CrownEngine:
         return set(self.enumerate_full())
 
     # ------------------------------------------------------------------
-    # live views (Lemma 5.5), maintained after each delta enumeration;
-    # each acts once per distinct projected value (repeats are no-ops)
+    # live views (Lemma 5.5), maintained after each delta enumeration
+    # from the candidate sets ``_collect_deltas`` read off the witness
+    # plans' factors: only nodes in a witness node's subtree get any
     # ------------------------------------------------------------------
-    def _live_insert(self, results: list[tuple]) -> None:
-        for node in self._live_nodes:
-            new = set(map(node.live_get, results))
-            new -= node.live
+    def _live_insert(self, lives: list[set]) -> None:
+        for node, cand in zip(self._live_nodes, lives):
+            if not cand:
+                continue
+            new = cand - node.live
             node.live |= new
             for c, idx in node.live_idx.items():
                 g = node.cky_get[c]
                 for lv in new:
                     idx.setdefault(g(lv), set()).add(lv)
 
-    def _live_delete(self, results: list[tuple]) -> None:
+    def _live_delete(self, lives: list[set]) -> None:
         # top-down: parent live views settle before children are checked
-        for node in self._live_nodes:
+        for node, cand in zip(self._live_nodes, lives):
+            if not cand:
+                continue
             up, vs_y, kyg = node.up_idx, node.vs_yproj, node.key_y_get
             gone = [
-                lv for lv in set(map(node.live_get, results)) & node.live
+                lv for lv in cand & node.live
                 if lv not in vs_y or (up is not None and not up.get(kyg(lv)))
             ]
             node.live.difference_update(gone)
@@ -579,12 +618,14 @@ class CrownEngine:
                         del idx[jv]
 
     def rebuild_live(self) -> None:
-        """Recompute every live view from one full enumeration."""
+        """Recompute every live view: the root's witness plan, run over
+        all of π_y V_s(root), reads V_l off the whole of Q(D)."""
         for node in self._live_nodes:
             node.live.clear()
             for idx in node.live_idx.values():
                 idx.clear()
-        self._live_insert(list(self._enum_all()))
+        root = self.tree.root
+        self._live_insert(self._collect_deltas({root: self.nodes[root].vs_yproj.keys()})[1])
 
     # ------------------------------------------------------------------
     # introspection

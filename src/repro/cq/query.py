@@ -107,7 +107,7 @@ class CQ:
         object.__setattr__(self, "_preds", preds)
         seen = Counter(a for r in self.relations for a in r.attrs)
         object.__setattr__(self, "_admits", {
-            r.name: _admitter(tuple(i for i, a in enumerate(r.attrs) if seen[a] > 1),
+            r.name: _admitter(r, tuple(i for i, a in enumerate(r.attrs) if seen[a] > 1),
                               preds.get(r.name, ()))
             for r in self.relations
         })
@@ -147,7 +147,8 @@ class CQ:
         with another atom (a NULL joins nothing, as in SQL) or fails one
         of the atom's selections. Every engine stores and propagates only the
         tuples it admits, so a rejected insert and its delete are both
-        no-ops."""
+        no-ops. A tuple whose length is not the atom's arity raises
+        ``ValueError``."""
         return self._admits[rel]
 
     def atoms_of_stream(self, stream: str) -> list[Relation]:
@@ -161,12 +162,21 @@ class CQ:
         return CQ(self.relations, tuple(output), self.name, self.where)
 
 
-def _admitter(joins: tuple[int, ...], preds: tuple[Callable[[tuple], bool], ...]
+def _admitter(atom: Relation, joins: tuple[int, ...], preds: tuple[Callable[[tuple], bool], ...]
               ) -> Callable[[tuple], bool]:
-    """The admission rule of an atom whose join attributes sit at
+    """The admission rule of ``atom``, whose join attributes sit at
     ``joins`` and whose compiled selections are ``preds``; an atom with
-    no selection gets the shorter lambda, as it is called per update."""
+    no selection gets the shorter lambda, as it is called per update. A
+    tuple of the wrong arity raises ``ValueError``: it cannot be stored
+    as a tuple of the atom, and a shorter one would silently join."""
+    n = len(atom.attrs)
+
+    def wrong(t: tuple) -> bool:
+        raise ValueError(f"atom {atom.name}{atom.attrs} takes {n} values, got {len(t)}: {t!r}")
+
     if not preds:
-        return lambda t: None not in t or all(t[i] is not None for i in joins)
+        return lambda t: (len(t) == n or wrong(t)) and (
+            None not in t or all(t[i] is not None for i in joins))
     sel = preds[0] if len(preds) == 1 else (lambda t: all(p(t) for p in preds))
-    return lambda t: (None not in t or all(t[i] is not None for i in joins)) and sel(t)
+    return lambda t: (len(t) == n or wrong(t)) and (
+        None not in t or all(t[i] is not None for i in joins)) and sel(t)

@@ -103,17 +103,21 @@ def _process(bc, u):
     return bc.process_batch({u.stream: [(1 if u.is_insert else -1, *u.tuple)]})
 
 
-@pytest.mark.parametrize("make,apply,state", [
+# each engine with its update call and its state: ``space()``, or the
+# batch core's stored rows (one batch per update)
+EVERY_ENGINE = pytest.mark.parametrize("make,apply,state", [
     (CrownEngine, CrownEngine.apply, CrownEngine.space),
     (StandardCPEngine, StandardCPEngine.apply, StandardCPEngine.space),
     (FirstOrderHIVMEngine, FirstOrderHIVMEngine.apply, FirstOrderHIVMEngine.space),
     (BatchCrown, _process, _stored),
 ], ids=["crown", "standard_cp", "hivm", "batch_crown"])
+
+
+@EVERY_ENGINE
 def test_rejected_tuples_change_nothing(make, apply, state):
     """Every engine admits atom tuples through ``cq.admits``: on a stream
-    holding rejected tuples it gives the deltas and the state (``space()``,
-    or the batch core's stored rows, one batch per update) that it gives
-    on the same stream without them, update by update."""
+    holding rejected tuples it gives the deltas and the state that it
+    gives on the same stream without them, update by update."""
     full, clean = make(R_S_T), make(R_S_T)
     deltas = 0
     for u in admission_stream():
@@ -125,6 +129,22 @@ def test_rejected_tuples_change_nothing(make, apply, state):
             deltas += len(got)
         assert state(full) == state(clean)
     assert deltas > 0
+
+
+@EVERY_ENGINE
+def test_wrong_arity_tuples_fail_loudly(make, apply, state):
+    """A tuple longer or shorter than its atom raises ``ValueError``
+    naming the atom, and is not stored: on R(A, B) ⋈ S(B, C), y = (B,),
+    S (2,) would otherwise join R (1, 2), and R (1, 2, 9) be stored."""
+    cq = CQ((Relation("R", ("A", "B")), Relation("S", ("B", "C"))), ("B",), name="r_s_b")
+    eng = make(cq)
+    apply(eng, Update("R", (1, 2), True))
+    before = state(eng)
+    for u in (Update("S", (2,), True), Update("R", (1, 2, 9), True), Update("R", (1,), False)):
+        with pytest.raises(ValueError, match=rf"atom {u.stream}\("):
+            apply(eng, u)
+        assert state(eng) == before
+    assert apply(eng, Update("S", (2, 3), True))  # the right arity still joins
 
 
 @pytest.mark.parametrize("engine_cls", [StandardCPEngine, FirstOrderHIVMEngine])

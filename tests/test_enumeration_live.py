@@ -3,7 +3,7 @@ import pytest
 
 from repro.bench.queries import GRAPH_QUERIES
 from repro.core.engine import CrownEngine
-from repro.cq.join_tree import best_tree
+from repro.cq.join_tree import free_connex_trees
 from repro.cq.query import CQ, Relation
 from repro.streams.sequences import Update
 from tests._util import expected_result, output_orders, query_in_order, random_updates
@@ -39,35 +39,63 @@ def test_enumeration_is_restartable():
     assert set(eng.enumerate_full()) == set(eng.enumerate_full())
 
 
+ARITY = {"2comb": {"G": 2, "V1": 1, "V2": 1}}
+
+
+def check_live(eng: CrownEngine, q: set, what: str) -> None:
+    """V_l(R_e) = π_{e∩y} Q(D) at every live node (Lemma 5.5), and each
+    ``live_idx[c]`` is ``live`` grouped by ``cky_get[c]``."""
+    out = eng.cq.output
+    for node in eng._live_nodes:
+        pos = [out.index(a) for a in node.y_attrs]
+        expect = {tuple(r[i] for i in pos) for r in q}
+        assert node.live == expect, f"{what}: live({node.name})"
+        for c, idx in node.live_idx.items():
+            groups: dict = {}
+            for lv in node.live:
+                groups.setdefault(node.cky_get[c](lv), set()).add(lv)
+            assert idx == groups, f"{what}: live_idx({node.name}, {c})"
+
+
 class TestLiveViews:
-    @pytest.mark.parametrize("name", ["3hop_proj", "4hop_proj", "star"])
+    @pytest.mark.parametrize("name", sorted(GRAPH_QUERIES))
     def test_live_view_invariant(self, name):
-        """V_l(R_e) = π_{e∩y} Q(D) after every update (Lemma 5.5)."""
+        """Every live view of every free-connex tree after every update.
+        Only the live nodes in a witness node's subtree are updated, so a
+        tree whose other live views would change shows here."""
         bq = GRAPH_QUERIES[name]()
-        eng = CrownEngine(bq.cq, post_filter=bq.post_filter)
-        dbs = {"G": set()}
-        for step, (s, t, ins) in enumerate(random_updates({"G": 2}, 200, dom=4, seed=5)):
+        arity = ARITY.get(name, {"G": 2})
+        engines = [CrownEngine(bq.cq, tree, post_filter=bq.post_filter)
+                   for tree in free_connex_trees(bq.cq)]
+        dbs = {s: set() for s in arity}
+        for step, (s, t, ins) in enumerate(random_updates(arity, 200, dom=4, seed=5)):
             (dbs[s].add if ins else dbs[s].discard)(t)
-            eng.apply(Update(s, t, ins))
-            if step % 10:
-                continue
-            q = expected_result(bq.cq, dbs)  # unfiltered: live views are
-            for node in eng._live_nodes:
-                expect = {
-                    tuple(dict(zip(bq.cq.output, r))[a] for a in node.y_attrs)
-                    for r in q
-                }
-                assert node.live == expect, f"{name} live({node.name}) step {step}"
+            q = expected_result(bq.cq, dbs)  # live views ignore post_filter
+            for i, eng in enumerate(engines):
+                eng.apply(Update(s, t, ins))
+                check_live(eng, q, f"{name} tree {i} step {step}")
 
     def test_rebuild_live_equals_incremental(self):
-        bq = GRAPH_QUERIES["4hop_proj"]()
-        eng = CrownEngine(bq.cq)
-        for s, t, ins in random_updates({"G": 2}, 200, dom=4, seed=6):
-            eng.apply(Update(s, t, ins))
-        incr = {n.name: set(n.live) for n in eng._live_nodes}
-        eng.rebuild_live()
-        rebuilt = {n.name: set(n.live) for n in eng._live_nodes}
-        assert incr == rebuilt
+        """``rebuild_live`` (the root's witness plan over V_s(root)) and
+        ``bulk_load`` give the live views that incremental upkeep gives,
+        on every tree of 4hop_proj and 2comb."""
+        for name in ("4hop_proj", "2comb"):
+            bq = GRAPH_QUERIES[name]()
+            arity = ARITY.get(name, {"G": 2})
+            for i, tree in enumerate(free_connex_trees(bq.cq)):
+                eng = CrownEngine(bq.cq, tree)
+                dbs = {s: set() for s in arity}
+                for s, t, ins in random_updates(arity, 200, dom=4, seed=6):
+                    (dbs[s].add if ins else dbs[s].discard)(t)
+                    eng.apply(Update(s, t, ins))
+                q = expected_result(bq.cq, dbs)
+                check_live(eng, q, f"{name} tree {i} incremental")
+                eng.rebuild_live()
+                check_live(eng, q, f"{name} tree {i} rebuilt")
+                loaded = CrownEngine(bq.cq, tree)
+                loaded.bulk_load(dbs)
+                check_live(loaded, q, f"{name} tree {i} bulk_load")
+                assert loaded.space() == eng.space()
 
 
 class TestNonFreeConnex:
