@@ -17,7 +17,12 @@ generalized join tree:
   partials and the per-key child rows.
 
 Per update the engine emits the exact delta ``ΔQ(D, t)`` (Algorithm 6)
-and supports full enumeration (Algorithm 5). Deletions are two-phase:
+and supports full enumeration (Algorithm 5). Both run as loop nests
+generated per query and tree at construction: one function per witness
+plan, per FullEnum(e, key) and for the full enumeration, each reading
+columns by position and the node dicts it binds as its globals
+(``_Source``), compiled under a file name that names the query and the
+plan, e.g. ``<crown 4hop_full G1>``. Deletions are two-phase:
 a non-mutating *probe* computes every view change, the delta is
 enumerated against the pre-deletion state ("delta enumeration upon a
 deletion is done before the tuple deletion"), then the probe's journal
@@ -50,10 +55,65 @@ def _getter(pos: Iterable[int]) -> Callable[[tuple], tuple]:
     return itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0, 0))
 
 
+class _Source:
+    """The source of one generated function, ``fn``. Columns are read by
+    position only (``v1[0]``), and every object the code reads is bound
+    in its globals under a generated name, so no attribute, relation or
+    node name enters the source."""
+
+    def __init__(self, params: str) -> None:
+        self.lines = [f"def fn({params}):"]
+        self.env: dict[str, object] = {"E": ()}
+        self.depth = 1
+        self.cols: dict[str, str] = {}  # attribute -> an expression holding it
+        self.rows: list[tuple[str, tuple[str, ...]]] = []  # bound (variable, layout)
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def open(self, text: str) -> None:
+        self.line(text)
+        self.depth += 1
+
+    def bind(self, value: object) -> str:
+        name = f"g{len(self.env)}"
+        self.env[name] = value
+        return name
+
+    def row(self, var: str, layout: tuple[str, ...]) -> None:
+        """From here on, ``var`` holds a tuple laid out as ``layout``."""
+        self.rows.append((var, layout))
+        for i, a in enumerate(layout):
+            self.cols.setdefault(a, f"{var}[{i}]")
+
+    def tup(self, attrs: Iterable[str]) -> str:
+        """The tuple of ``attrs``: a bound row itself if it has exactly
+        that layout, else a tuple display of its columns."""
+        attrs = tuple(attrs)
+        for var, layout in self.rows:
+            if layout == attrs:
+                return var
+        return "(" + "".join(f"{self.cols[a]}, " for a in attrs) + ")"
+
+    def read(self, var: str, layout: tuple[str, ...], attrs: Iterable[str]) -> str:
+        """``tup(attrs)`` with ``var`` bound for this expression only."""
+        cols, rows = dict(self.cols), list(self.rows)
+        self.row(var, layout)
+        try:
+            return self.tup(attrs)
+        finally:
+            self.cols, self.rows = cols, rows
+
+    def build(self, filename: str) -> Callable:
+        exec(compile("\n".join(self.lines) + "\n", filename, "exec"), self.env)
+        # popped, so the function is no part of its own globals: no
+        # reference cycle keeps a dropped engine's state alive
+        return self.env.pop("fn")
+
+
 class _Node:
-    """Mutable per-node state (views, counters, hash indexes). The
-    enumeration fields (``layout``, ``enum_children``, ``rows_by_key``,
-    ``sat``, ``up_idx``) are set by ``CrownEngine._compile``."""
+    """Mutable per-node state (views, counters, hash indexes). ``sat``
+    and ``up_idx`` are set by ``CrownEngine._compile``."""
 
     def __init__(self, tree: JoinTree, name: str, y: frozenset[str]) -> None:
         tn = tree.node(name)
@@ -155,9 +215,10 @@ class _Node:
 class CrownEngine:
     """The paper's framework: join-free change propagation + enumeration.
 
-    Results are plain tuples throughout: every projection, each node's
-    enumeration layout and every witness plan is compiled once, at
-    construction, into ``operator.itemgetter``s.
+    Results are plain tuples throughout. Every projection is an
+    ``operator.itemgetter``, and every enumeration (FullEnum per node,
+    each witness plan, ``enumerate_full``) is one loop nest of Python
+    source generated and compiled once, at construction (``_compile``).
 
     Parameters
     ----------
@@ -171,6 +232,11 @@ class CrownEngine:
     emit_deltas : when False, ``apply`` skips witness detection and
         delta enumeration (pure maintenance mode, used by the
         enclosureness experiments and for bulk loading).
+
+    ``stats`` counts ``updates`` and emitted ``deltas``, the
+    ``counter_changes`` of propagation, the ``witnesses`` (S-chain
+    partials that survive, one per result group enumerated) and the
+    ``noop_updates`` dropped by set semantics (per atom).
     """
 
     def __init__(
@@ -182,7 +248,6 @@ class CrownEngine:
     ) -> None:
         self.cq = cq
         self.tree = checked_tree(cq, tree)
-        self.post_filter = post_filter
         self.emit_deltas = emit_deltas
         y = cq.output_set
         self.nodes: dict[str, _Node] = {
@@ -196,83 +261,174 @@ class CrownEngine:
         self._stream_atoms: dict[str, list] = {}
         for r in cq.relations:
             self._stream_atoms.setdefault(r.stream, []).append(self._atoms[r.name])
+        # post_filter over a result tuple; no closure over self, so no cycle
+        names = cq.output
+        self._keep = None if post_filter is None else (
+            lambda r: post_filter(dict(zip(names, r))))
         self._compile()
-        self.stats = {"counter_changes": 0, "updates": 0, "deltas": 0}
+        self.stats = {"counter_changes": 0, "updates": 0, "deltas": 0,
+                      "witnesses": 0, "noop_updates": 0}
 
     def _compile(self) -> None:
-        """Plan-time positional layouts. ``node.layout`` names the columns
-        of ``_enum_key(node, ·)``'s tuples. A witness plan, for the root
-        and for each node with output attrs under a live parent, is
-        ``(chain, kids, out_get, heads)``: the S-chain steps to the root,
-        the enumerated children joined onto the chain's partial (each
-        with the V_l getters it feeds), the map of a result into
-        ``cq.output`` order, and the V_l getters read off the partial."""
-        out, nodes = self.cq.output, self.nodes
+        """Generate, once, the Python source of every enumeration loop
+        nest and ``exec`` it with the node dicts it reads bound as its
+        globals (``_Source``):
 
-        def into(layout: tuple[str, ...], attrs: Iterable[str]) -> Callable:
-            return _getter(layout.index(a) for a in attrs)
-
-        preorder = [nodes[name] for name in self.tree.preorder()]
+        - per non-root node that is no boundary and has enumerated
+          children, its part FullEnum(e, key) (Algorithm 5): its V_s
+          tuples under the key, each joined with its children's parts,
+          as flat rows whose columns ``rows`` names (the key's columns,
+          known to the caller, left out). A boundary node's part is its
+          stored π_y rows per key, a leaf's its V_s tuples per key; a
+          child that adds no column to its key is left out (its part is
+          non-empty by the V_s invariant);
+        - per witness node (the root, and each node with output attrs
+          under a live parent), a kernel (Algorithm 6, Def. 5.6): the
+          S-chain to the root, one ``for`` per step that skips the
+          update's own Δ values at the step's node; on each surviving
+          partial (a witness, counted) the V_l adds read off it; the
+          parts of the children joined onto the chain, those feeding
+          V_l read once per distinct (child, key); then one loop per
+          part, appending ``(sign, row)`` in ``cq.output`` order;
+        - ``enumerate_full``'s generator, the root kernel's loop nest
+          over all of π_y V_s(root).
+        """
+        nodes, tree, out = self.nodes, self.tree, self.cq.output
+        preorder = [nodes[name] for name in tree.preorder()]
+        order = {n.name: i for i, n in enumerate(preorder)}
+        # per node: (part, rows) -- a stored dict or a compiled FullEnum,
+        # and the columns of its rows -- or None when it adds no column
+        parts: dict[str, tuple | None] = {}
         for n in reversed(preorder):  # children first
             n.sat = [(nodes[c].vs_by_key, n.ck_get[c]) for c in n.children]
-            # a boundary child without extra output attrs yields only ()
-            # (its key is in V_p by the V_s invariant): drop it here
-            n.enum_children = [
-                (nodes[c], n.ck_get[c]) for c in n.children if nodes[c].layout
-            ]
             if n.boundary:
-                n.layout = n.y_attrs if n.extra_y else ()
-            else:
-                n.layout = n.attrs + sum((c.layout for c, _ in n.enum_children), ())
-            # key -> rows, when a node's rows are stored ones (Algorithm 5
-            # line 3, or a leaf of the product); None when it must recurse
-            n.rows_by_key = (
-                n.vs_key_yproj if n.boundary else None if n.enum_children else n.vs_by_key
-            )
-        self._root_out = into(preorder[0].layout, out)
+                parts[n.name] = (n.vs_key_yproj, n.y_attrs) if n.extra_y else None
+                continue
+            if n.is_root:
+                continue  # no parent reads it; see enumerate_full's generator
+            kids = self._kids(n, parts)
+            if not kids:
+                parts[n.name] = (n.vs_by_key, n.attrs)
+                continue
+            key = set(tree.key(n.name))
+            rows = tuple(dict.fromkeys(
+                a for a in sum((k[2] for k in kids), ()) + n.attrs if a not in key))
+            if not rows:
+                parts[n.name] = None
+                continue
+            src = _Source("kv")
+            src.line("out = []")
+            src.line("add = out.append")
+            src.open(f"for t in {src.bind(n.vs_by_key)}.get(kv, E):")
+            src.row("t", n.attrs)
+            self._nest(src, kids, order, rows, "add({})", "out += {}")
+            src.depth = 1
+            src.line("return out")
+            parts[n.name] = (src.build(self._label(f"FullEnum {n.name}")), rows)
+        root = preorder[0]
+        src = _Source("")
+        src.open(f"for v0 in {src.bind(root.vs_yproj)}:")
+        src.row("v0", root.y_attrs)
+        self._nest(src, self._kids(root, parts), order, out, "yield {}", "yield from {}")
+        self._full = src.build(self._label("enumerate_full"))
         # live nodes root-first (deletion check is top-down)
         self._live_nodes = [n for n in preorder if n.live_maintained]
         live_at = {n.name: i for i, n in enumerate(self._live_nodes)}
-        self._wplans: dict[str, tuple] = {}
+        self._wplans: dict[str, Callable] = {}
         for n in preorder:
             parent = nodes[n.parent] if n.parent else None
             up = parent is not None and parent.live is not None
             n.up_idx = parent.live_idx[n.name] if up else None
             if not n.is_root and not (up and n.y_attrs):
                 continue
-            path = [nodes[p] for p in self.tree.path_to_root(n.name)]
-            layout, chain, kids = n.y_attrs, [], []
-            for prev, f in zip(path, path[1:]):
-                chain.append((f.name, f.live_idx[prev.name], into(layout, prev.key_y_attrs)))
-                layout += f.y_attrs
-            head = layout
-            for prev, f in zip([None] + path, path):
-                if f.boundary:
-                    continue  # the subtree contributes only e∩y, already in the chain
-                for c, _ in f.enum_children:
-                    if c is not prev:
-                        kids.append((c, into(layout, self.tree.key(c.name)), []))
-                        layout += c.layout
+            path = [nodes[p] for p in tree.path_to_root(n.name)]
+            chain = list(zip(path, path[1:]))
+            head = n.y_attrs + sum((f.y_attrs for _, f in chain), ())
+            # the enumerated children joined onto the chain; a boundary
+            # node's subtree adds only e∩y, already in the chain
+            own = [] if n.boundary else self._kids(n, parts)
+            kids = own + [k for prev, f in chain if not f.boundary
+                          for k in self._kids(f, parts) if k[0] is not prev]
             # V_l getters: only the live nodes of n's subtree can change
             # (DESIGN.md), each read from the head or from one of n's own
-            # enumerated children (the first kids when n is no boundary)
-            own = [] if n.boundary else kids[: len(n.enum_children)]
-            heads: list[tuple[int, Callable]] = []
-            for m in self.tree.subtree(n.name):
+            # enumerated children
+            heads: list[tuple[int, tuple]] = []
+            for m in tree.subtree(n.name):
                 if m not in live_at:
                     continue
                 ya = nodes[m].y_attrs
                 if set(ya) <= set(head):
-                    heads.append((live_at[m], into(head, ya)))
+                    heads.append((live_at[m], ya))
                     continue
-                kid = next((k for k in own if set(ya) <= set(k[0].layout)), None)
+                kid = next((k for k in own
+                            if set(ya) <= set(tree.key(k[0].name)) | set(k[2])), None)
                 if kid is None:
                     raise ValueError(
                         f"live node {m}: y-attributes {ya} are in neither the "
                         f"witness plan head {head} of {n.name} nor one child's rows"
                     )
-                kid[2].append((live_at[m], into(kid[0].layout, ya)))
-            self._wplans[n.name] = (chain, kids, into(layout, out), heads)
+                kid[3].append((live_at[m], ya))
+            src = _Source("ys, ch, out, sign, L, seen")
+            for i in sorted({i for i, _ in heads} | {i for k in kids for i, _ in k[3]}):
+                src.line(f"L{i} = L[{i}]")
+            src.line("add = out.append")
+            src.line("nw = 0")
+            for j, (_, f) in enumerate(chain, 1):
+                src.line(f"X{j} = ch.get({src.bind(f.name)}, E)")
+            src.open("for v0 in ys:")
+            src.row("v0", n.y_attrs)
+            for j, (prev, f) in enumerate(chain, 1):
+                idx = src.bind(f.live_idx[prev.name])
+                src.open(f"for v{j} in {idx}.get({src.tup(prev.key_y_attrs)}, E):")
+                src.line(f"if v{j} in X{j}: continue")
+                src.row(f"v{j}", f.y_attrs)
+            src.line("nw += 1")
+            for i, ya in heads:
+                src.line(f"L{i}.add({src.tup(ya)})")
+            self._nest(src, kids, order, out, "add((sign, {}))", None)
+            src.depth = 1
+            src.line("return nw")
+            self._wplans[n.name] = src.build(self._label(n.name))
+
+    def _label(self, what: str) -> str:
+        """The file name a generated function is compiled under, so that
+        profiles and tracebacks name its query and plan."""
+        return f"<crown {self.cq.name} {what}>"
+
+    def _kids(self, n: _Node, parts: dict[str, tuple | None]) -> list[list]:
+        """``[child, part, rows, V_l getters]`` per child of ``n`` that
+        adds columns to its key."""
+        return [[self.nodes[c], *parts[c], []] for c in n.children if parts[c] is not None]
+
+    def _nest(self, src: _Source, kids: list[list], order: dict[str, int],
+              cols: tuple[str, ...], emit: str, whole: str | None) -> None:
+        """Into ``src``, at rows already bound: each kid's part under its
+        key (feeding the kid's V_l getters once per distinct key, through
+        ``seen``), then one loop per part; the innermost line is ``emit``
+        of the row of ``cols``, or ``whole`` of the last part when that
+        row is the last part's row itself."""
+        for j, (c, part, rows, getters) in enumerate(kids):
+            k = src.tup(self.tree.key(c.name))
+            if getters and not k.isidentifier():
+                src.line(f"k{j} = {k}")
+                k = f"k{j}"
+            g = src.bind(part)
+            src.line(f"p{j} = {g}({k})" if callable(part) else f"p{j} = {g}.get({k}, E)")
+            if getters:
+                src.open(f"if ({order[c.name]}, {k}) not in seen:")
+                src.line(f"seen.add(({order[c.name]}, {k}))")
+                for i, ya in getters:
+                    e = src.read("r", rows, ya)
+                    src.line(f"L{i}.update(p{j})" if e == "r"
+                             else f"L{i}.update([{e} for r in p{j}])")
+                src.depth -= 1
+        for j, (_, _, rows, _) in enumerate(kids):
+            src.row(f"r{j}", rows)
+            if whole and j == len(kids) - 1 and src.tup(cols) == f"r{j}":
+                src.line(whole.format(f"p{j}"))
+                return
+            src.open(f"for r{j} in p{j}:")
+        src.line(emit.format(src.tup(cols)))
 
     # ------------------------------------------------------------------
     # update entry points
@@ -319,25 +475,19 @@ class CrownEngine:
 
     def _apply_atom(self, node: _Node, t: tuple, is_insert: bool) -> list[tuple[int, tuple]]:
         if (t in node.tuples) == is_insert:
+            self.stats["noop_updates"] += 1
             return []  # set semantics: non-effective update
         if is_insert:
             changes = self._insert_propagate(node, t)
-            results, lives = self._collect_deltas(changes) if self.emit_deltas else ([], [])
+            out, lives = self._collect_deltas(changes, 1) if self.emit_deltas else ([], [])
             self._live_insert(lives)
         else:
             changes, plan = self._delete_probe(node, t)
-            results, lives = self._collect_deltas(changes) if self.emit_deltas else ([], [])
+            out, lives = self._collect_deltas(changes, -1) if self.emit_deltas else ([], [])
             self._delete_apply(plan)
             self._live_delete(lives)
-        sign = 1 if is_insert else -1
-        return [(sign, r) for r in self._filtered(results)]
-
-    def _filtered(self, rows: Iterable[tuple]) -> Iterable[tuple]:
-        """Apply ``post_filter``; its result dict is built only when set."""
-        if self.post_filter is None:
-            return rows
-        names, keep = self.cq.output, self.post_filter
-        return (r for r in rows if keep(dict(zip(names, r))))
+        keep = self._keep
+        return out if keep is None else [d for d in out if keep(d[1])]
 
     # ------------------------------------------------------------------
     # propagation (Algorithms 2–4, level-wise along the path to root)
@@ -501,82 +651,39 @@ class CrownEngine:
     # ------------------------------------------------------------------
     # witnesses (Def. 5.6) and delta enumeration (Algorithm 6)
     # ------------------------------------------------------------------
-    def _collect_deltas(self, changes: dict[str, set]) -> tuple[list[tuple], list[set]]:
-        """Every result claimed by a witness, in ``cq.output`` order, and
-        per live node (``_live_nodes`` order) the V_l values those
-        results project onto, read from the results' factors: a plan's
-        head getters act once per partial, its child getters once per
-        distinct child key.
+    def _collect_deltas(self, changes: dict[str, set], sign: int
+                        ) -> tuple[list[tuple[int, tuple]], list[set]]:
+        """Every ``(sign, result)`` claimed by a witness, results in
+        ``cq.output`` order, and per live node (``_live_nodes`` order)
+        the V_l values those results project onto, read from the
+        results' factors: a plan's head getters act once per partial,
+        its child getters once per distinct child key.
 
         A Δ(π_y V_s) value is a witness iff its first S-chain step joins
         a parent live value outside this update's own Δ values, so the
         S-chain walk is the witness check. Each chain step excludes the
         update's Δ values at that node (disjointness, Lemma 5.7). The
         root's plan has no chain: each of its Δ values is a witness."""
-        out: list[tuple] = []
+        out: list[tuple[int, tuple]] = []
         lives: list[set] = [set() for _ in self._live_nodes]
         seen: set[tuple] = set()  # (child, key) pairs already read for V_l
+        witnesses = 0
         for name, ys in changes.items():
-            plan = self._wplans.get(name)
-            if plan is None:
-                continue
-            chain, kids, out_get, heads = plan
-            steps = [(idx, jget, changes.get(f, ())) for f, idx, jget in chain]
-            for yv in ys:
-                partials = [yv]
-                for idx, jget, excl in steps:
-                    partials = [
-                        p + lv for p in partials
-                        for lv in idx.get(jget(p), ()) if lv not in excl
-                    ]
-                for q in partials:
-                    for i, get in heads:
-                        lives[i].add(get(q))
-                    rows = [q]
-                    for c, g, lg in kids:
-                        k = g(q)
-                        part = self._enum_key(c, k)
-                        if lg and (c, k) not in seen:
-                            seen.add((c, k))
-                            for i, get in lg:
-                                lives[i].update(map(get, part))
-                        rows = [r + x for r in rows for x in part]
-                    out.extend(map(out_get, rows))
+            kernel = self._wplans.get(name)
+            if kernel is not None:
+                witnesses += kernel(ys, changes, out, sign, lives, seen)
+        self.stats["witnesses"] += witnesses
         return out, lives
 
     # ------------------------------------------------------------------
     # full enumeration (Algorithm 5)
     # ------------------------------------------------------------------
-    def _enum_tuple(self, node: _Node, t: tuple) -> list[tuple]:
-        """Join results of the subtree at ``node`` containing V_s tuple
-        ``t`` (requires ``node``'s attrs ⊆ y), laid out as ``node.layout``."""
-        rows = [t]
-        for c, g in node.enum_children:
-            part = self._enum_key(c, g(t))
-            rows = [r + x for r in rows for x in part]
-        return rows
-
-    def _enum_key(self, node: _Node, kv: tuple) -> Iterable[tuple]:
-        """FullEnum(T, e, t[key(e)]): results of the subtree at ``node``
-        joining a parent V_s tuple whose key projection is ``kv``.
-        Invariant: the caller's tuple is in the parent's V_s, hence
-        ``kv ∈ V_p`` here. Algorithm 5 line 2 (a boundary node without
-        extra output attrs) is pruned at plan time."""
-        if node.rows_by_key is not None:
-            return node.rows_by_key.get(kv, ())
-        out: list[tuple] = []
-        for t in node.vs_by_key.get(kv, ()):
-            out.extend(self._enum_tuple(node, t))
-        return out
-
     def enumerate_full(self) -> Iterator[tuple]:
-        """Constant-delay full enumeration of Q(D) (Lemma 5.3)."""
-        yield from self._filtered(self._enum_all())
-
-    def _enum_all(self) -> Iterator[tuple]:
-        root = self.nodes[self.tree.root]
-        for t in list(root.vs_by_key.get((), ())):
-            yield from map(self._root_out, self._enum_tuple(root, t))
+        """Constant-delay full enumeration of Q(D) (Lemma 5.3): the
+        generated loop nest over π_y V_s(root), which reads the live
+        state, so drain it before the next update."""
+        rows = self._full()
+        return rows if self._keep is None else filter(self._keep, rows)
 
     def full_result_set(self) -> set[tuple]:
         return set(self.enumerate_full())
@@ -624,8 +731,10 @@ class CrownEngine:
             node.live.clear()
             for idx in node.live_idx.values():
                 idx.clear()
+        lives: list[set] = [set() for _ in self._live_nodes]
         root = self.tree.root
-        self._live_insert(self._collect_deltas({root: self.nodes[root].vs_yproj.keys()})[1])
+        self._wplans[root](self.nodes[root].vs_yproj.keys(), {}, [], 1, lives, set())
+        self._live_insert(lives)
 
     # ------------------------------------------------------------------
     # introspection

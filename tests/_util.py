@@ -42,6 +42,21 @@ def expected_result(cq: CQ, stream_db: dict[str, set], post_filter=None) -> set:
     return out
 
 
+def check_live(eng, q: set, what: str) -> None:
+    """V_l(R_e) = π_{e∩y} Q(D) at every live node (Lemma 5.5), and each
+    ``live_idx[c]`` is ``live`` grouped by ``cky_get[c]``."""
+    out = eng.cq.output
+    for node in eng._live_nodes:
+        pos = [out.index(a) for a in node.y_attrs]
+        expect = {tuple(r[i] for i in pos) for r in q}
+        assert node.live == expect, f"{what}: live({node.name})"
+        for c, idx in node.live_idx.items():
+            groups: dict = {}
+            for lv in node.live:
+                groups.setdefault(node.cky_get[c](lv), set()).add(lv)
+            assert idx == groups, f"{what}: live_idx({node.name}, {c})"
+
+
 def random_updates(
     streams_arity: dict[str, int],
     steps: int,

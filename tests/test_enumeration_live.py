@@ -6,7 +6,9 @@ from repro.core.engine import CrownEngine
 from repro.cq.join_tree import free_connex_trees
 from repro.cq.query import CQ, Relation
 from repro.streams.sequences import Update
-from tests._util import expected_result, output_orders, query_in_order, random_updates
+from tests._util import (
+    check_live, expected_result, output_orders, query_in_order, random_updates,
+)
 
 
 @pytest.mark.parametrize("name,reverse", output_orders(GRAPH_QUERIES))
@@ -40,21 +42,6 @@ def test_enumeration_is_restartable():
 
 
 ARITY = {"2comb": {"G": 2, "V1": 1, "V2": 1}}
-
-
-def check_live(eng: CrownEngine, q: set, what: str) -> None:
-    """V_l(R_e) = π_{e∩y} Q(D) at every live node (Lemma 5.5), and each
-    ``live_idx[c]`` is ``live`` grouped by ``cky_get[c]``."""
-    out = eng.cq.output
-    for node in eng._live_nodes:
-        pos = [out.index(a) for a in node.y_attrs]
-        expect = {tuple(r[i] for i in pos) for r in q}
-        assert node.live == expect, f"{what}: live({node.name})"
-        for c, idx in node.live_idx.items():
-            groups: dict = {}
-            for lv in node.live:
-                groups.setdefault(node.cky_get[c](lv), set()).add(lv)
-            assert idx == groups, f"{what}: live_idx({node.name}, {c})"
 
 
 class TestLiveViews:

@@ -94,13 +94,15 @@ class TestPlanChoiceMatters:
 
 
 def test_hop4_window_exact_stats():
-    """Exact counter work (the O(λ_T) maintenance cost) and delta count on
-    a fixed 4-hop FIFO stream: a change to how results are produced must
-    leave both as they are."""
+    """Exact counter work (the O(λ_T) maintenance cost), witnesses (S-chain
+    partials that survive, Def. 5.6), no-op updates and delta count on a
+    fixed 4-hop FIFO stream: a change to how results are produced must
+    leave them as they are."""
     bq = hop4_full()
     eng = CrownEngine(bq.cq, post_filter=bq.post_filter)
     eng.run(graph_stream(sf=0.002, window=150, seed=1))
-    assert eng.stats == {"counter_changes": 7982, "updates": 2000, "deltas": 14104}
+    assert eng.stats == {"counter_changes": 7982, "updates": 2000, "deltas": 14104,
+                         "witnesses": 3025, "noop_updates": 0}
 
 
 def per_update_by_quarter(eng, seq, stat):
