@@ -22,11 +22,14 @@ generated per query and tree at construction: one function per witness
 plan, per FullEnum(e, key) and for the full enumeration, each reading
 columns by position and the node dicts it binds as its globals
 (``_Source``), compiled under a file name that names the query and the
-plan, e.g. ``<crown 4hop_full G1>``. Deletions are two-phase:
-a non-mutating *probe* computes every view change, the delta is
-enumerated against the pre-deletion state ("delta enumeration upon a
-deletion is done before the tuple deletion"), then the probe's journal
-is applied.
+plan, e.g. ``<crown 4hop_full G1>``.
+
+Inserts and deletes share one signed walk up the atom's path to the
+root (``_propagate``, d = ±1): it moves every counter at once and reads
+each V_s crossing off V_s as it was before the update. Enumeration and
+V_l upkeep read V_s and V_l only, never a counter, so V_s moves before
+an insert's delta is enumerated and after a deletion's ("delta
+enumeration upon a deletion is done before the tuple deletion").
 
 Design notes (see DESIGN.md § semantic decisions): witnesses use
 ``Δ(π_y V_s)`` via projection refcounts; witness checks and S-chains
@@ -171,45 +174,33 @@ class _Node:
     def n_children(self) -> int:
         return len(self.children)
 
-    def in_vs(self, t: tuple) -> bool:
-        return self.tuples.get(t, -1) == self.n_children
-
-    # -- V_s index bookkeeping (S-UPDATE's derivation counting) --------
-    def _vs_add(self, t: tuple) -> tuple[tuple | None, tuple | None]:
-        """Add ``t`` to V_s indexes; return (new V_p key, new π_y value)."""
-        kv = self.key_get(t)
-        s = self.vs_by_key.setdefault(kv, set())
-        s.add(t)
-        new_vp = kv if (len(s) == 1 and not self.is_root) else None
-        yv = self.y_get(t)
-        c = self.vs_yproj.get(yv, 0) + 1
-        self.vs_yproj[yv] = c
-        new_y = yv if c == 1 else None
-        if self.needs_kyproj:
-            d = self.vs_key_yproj.setdefault(kv, {})
-            d[yv] = d.get(yv, 0) + 1
-        return new_vp, new_y
-
-    def _vs_remove(self, t: tuple) -> None:
-        kv = self.key_get(t)
-        s = self.vs_by_key[kv]
-        s.discard(t)
-        if not s:
-            del self.vs_by_key[kv]
-        yv = self.y_get(t)
-        c = self.vs_yproj[yv] - 1
-        if c:
-            self.vs_yproj[yv] = c
-        else:
-            del self.vs_yproj[yv]
-        if self.needs_kyproj:
-            d = self.vs_key_yproj[kv] if kv in self.vs_key_yproj else None
-            if d is not None:
-                d[yv] -= 1
-                if not d[yv]:
-                    del d[yv]
-                if not d:
+    def vs_move(self, ts: list[tuple], d: int) -> None:
+        """Move ``ts`` into (d = 1) or out of (d = -1) V_s and its
+        indexes: V_p's groups and the π_y refcounts."""
+        for t in ts:
+            kv, yv = self.key_get(t), self.y_get(t)
+            if d > 0:
+                self.vs_by_key.setdefault(kv, set()).add(t)
+            else:
+                s = self.vs_by_key[kv]
+                s.discard(t)
+                if not s:
+                    del self.vs_by_key[kv]
+            _count(self.vs_yproj, yv, d)
+            if self.needs_kyproj:
+                ky = self.vs_key_yproj.setdefault(kv, {})
+                _count(ky, yv, d)
+                if not ky:
                     del self.vs_key_yproj[kv]
+
+
+def _count(counts: dict, k: object, d: int) -> None:
+    """``counts[k] += d``, dropping ``k`` at zero."""
+    c = counts.get(k, 0) + d
+    if c:
+        counts[k] = c
+    else:
+        del counts[k]
 
 
 class CrownEngine:
@@ -477,79 +468,102 @@ class CrownEngine:
         if (t in node.tuples) == is_insert:
             self.stats["noop_updates"] += 1
             return []  # set semantics: non-effective update
+        d = 1 if is_insert else -1
+        changes, moves = self._propagate(node, t, d)
+        # enumeration and V_l upkeep read V_s, never the counters: V_s
+        # moves before enumerating an insert and after enumerating a
+        # deletion ("delta enumeration upon a deletion is done before the
+        # tuple deletion")
         if is_insert:
-            changes = self._insert_propagate(node, t)
-            out, lives = self._collect_deltas(changes, 1) if self.emit_deltas else ([], [])
-            self._live_insert(lives)
-        else:
-            changes, plan = self._delete_probe(node, t)
-            out, lives = self._collect_deltas(changes, -1) if self.emit_deltas else ([], [])
-            self._delete_apply(plan)
-            self._live_delete(lives)
+            for n, ts in moves:
+                n.vs_move(ts, 1)
+        emit = self.emit_deltas and bool(changes)
+        out, lives = self._collect_deltas(changes, d) if emit else ([], None)
+        if not is_insert:
+            for n, ts in moves:
+                n.vs_move(ts, -1)
+        if lives is not None:
+            (self._live_insert if is_insert else self._live_delete)(lives)
         keep = self._keep
-        return out if keep is None else [d for d in out if keep(d[1])]
+        return out if keep is None else [r for r in out if keep(r[1])]
 
     # ------------------------------------------------------------------
     # propagation (Algorithms 2–4, level-wise along the path to root)
     # ------------------------------------------------------------------
-    def _insert_propagate(self, node: _Node, t: tuple) -> dict[str, set]:
-        """R-/S-/P-UPDATE for an insert; returns each changed node's
-        Δ(π_y V_s) values."""
+    def _propagate(self, node: _Node, t: tuple, d: int
+                   ) -> tuple[dict[str, set], list[tuple[_Node, list]]]:
+        """R-/S-/P-UPDATE for inserting (d = 1) or deleting (d = -1) ``t``
+        at ``node``, in one walk up the path to the root. Every counter
+        moves at once; V_s does not, so each crossing is read off V_s as
+        it was before the update. Returns each changed node's Δ(π_y V_s)
+        values and, per level, the tuples that cross V_s."""
         changes: dict[str, set] = {}
-        # R-UPDATE (Algorithm 4): count satisfied children
-        cnt = self._child_sat_count(node, t)
-        for idx, g in node.cidx:
-            idx.setdefault(g(t), set()).add(t)
-        node.tuples[t] = cnt
-        self.stats["counter_changes"] += 1
-        entering: list[tuple] = [t] if cnt == node.n_children else []
-        while True:
-            y_d, vp_d = set(), set()
-            for t2 in entering:
-                new_vp, new_y = node._vs_add(t2)
-                if new_vp is not None:
-                    vp_d.add(new_vp)
-                if new_y is not None:
-                    y_d.add(new_y)
+        moves: list[tuple[_Node, list]] = []
+        stats = self.stats
+        # R-UPDATE (Algorithm 4): a new tuple counts its satisfied children
+        if d > 0:
+            cnt = node.tuples[t] = self._child_sat_count(node, t)
+            self._index(node, t)
+        else:
+            cnt = node.tuples.pop(t)
+            self._unindex(node, t)
+        stats["counter_changes"] += 1
+        movers = [t] if cnt == node.n_children else []
+        while movers:
+            moves.append((node, movers))
+            # a π_y value or V_p key crosses iff none of its V_s tuples
+            # were there (insert) or all of them leave (delete)
+            ycnt: dict[tuple, int] = {}
+            kcnt: dict[tuple, int] = {}
+            for t2 in movers:
+                yv, kv = node.y_get(t2), node.key_get(t2)
+                ycnt[yv] = ycnt.get(yv, 0) + 1
+                kcnt[kv] = kcnt.get(kv, 0) + 1
+            vs_y, vs_k = node.vs_yproj, node.vs_by_key
+            y_d = {yv for yv, c in ycnt.items() if vs_y.get(yv, 0) == (c if d < 0 else 0)}
             if y_d:
                 changes[node.name] = y_d
-            if node.is_root or not vp_d:
+            if node.is_root:
                 break
+            vp_d = [kv for kv, c in kcnt.items() if len(vs_k.get(kv, ())) == (c if d < 0 else 0)]
             child, node = node, self.nodes[node.parent]
-            entering = []
+            # a tuple crosses iff its counter was n - 1 (insert) or n (delete)
+            cross = node.n_children - (d > 0)
+            tuples, movers = node.tuples, []
             if child.name in node.def_children:
                 # P-UPDATE from a defining child of a generalized node:
-                # the child's new V_p keys are candidate tuples of the
-                # virtual relation R_e (intersection counting, eq. (4),
+                # the child's V_p keys are candidate tuples of the virtual
+                # relation R_e (intersection counting, eq. (4),
                 # generalized to mixed-key children)
+                pres = node.def_pres
                 for kv in vp_d:
-                    if kv in node.def_pres:
-                        node.def_pres[kv] += 1
-                        c2 = node.tuples[kv] + 1
-                        node.tuples[kv] = c2
-                        self.stats["counter_changes"] += 1
-                        if c2 == node.n_children:
-                            entering.append(kv)
-                    else:
-                        node.def_pres[kv] = 1
-                        c2 = self._child_sat_count(node, kv)
-                        node.tuples[kv] = c2
-                        self.stats["counter_changes"] += 1
-                        for idx, g in node.cidx:
-                            idx.setdefault(g(kv), set()).add(kv)
-                        if c2 == node.n_children:
-                            entering.append(kv)
+                    if kv in pres:
+                        old = tuples[kv]
+                        pres[kv] += d
+                        if pres[kv]:
+                            tuples[kv] = old + d
+                        else:  # last defining support gone: the candidate vanishes
+                            del pres[kv], tuples[kv]
+                            self._unindex(node, kv)
+                    else:  # a new candidate: its other children's support, + 1 for this child
+                        pres[kv] = 1
+                        old = self._child_sat_count(node, kv)
+                        tuples[kv] = old + 1
+                        self._index(node, kv)
+                    stats["counter_changes"] += 1
+                    if old == cross:
+                        movers.append(kv)
             else:
-                # P-UPDATE (Algorithm 3): bump counters of matching tuples
+                # P-UPDATE (Algorithm 3): move the counters of matching tuples
                 idx = node.child_index[child.name]
                 for kv in vp_d:
                     for t2 in idx.get(kv, ()):
-                        c2 = node.tuples[t2] + 1
-                        node.tuples[t2] = c2
-                        self.stats["counter_changes"] += 1
-                        if c2 == node.n_children:
-                            entering.append(t2)
-        return changes
+                        old = tuples[t2]
+                        tuples[t2] = old + d
+                        stats["counter_changes"] += 1
+                        if old == cross:
+                            movers.append(t2)
+        return changes, moves
 
     @staticmethod
     def _child_sat_count(node: _Node, t: tuple) -> int:
@@ -560,93 +574,19 @@ class CrownEngine:
                 cnt += 1
         return cnt
 
-    def _delete_probe(
-        self, node: _Node, t: tuple
-    ) -> tuple[dict[str, set], list]:
-        """Non-mutating pass: each changed node's Δ(π_y V_s) values (as
-        ``_insert_propagate``) + an apply plan."""
-        changes: dict[str, set] = {}
-        plan: list[dict] = []
-        leaving: set = {t} if node.in_vs(t) else set()
-        child_name: str | None = None
-        vp_below: set = set()
-        while True:
-            # a π_y value / V_p key goes when all of its V_s tuples leave
-            ycnt: dict[tuple, int] = {}
-            kcnt: dict[tuple, int] = {}
-            for t2 in leaving:
-                yv, kv = node.y_get(t2), node.key_get(t2)
-                ycnt[yv] = ycnt.get(yv, 0) + 1
-                kcnt[kv] = kcnt.get(kv, 0) + 1
-            y_d = {yv for yv, c in ycnt.items() if node.vs_yproj.get(yv, 0) == c}
-            vp_d = set() if node.is_root else {
-                kv for kv, c in kcnt.items() if len(node.vs_by_key.get(kv, ())) == c
-            }
-            if y_d:
-                changes[node.name] = y_d
-            plan.append(
-                {
-                    "node": node.name,
-                    "child": child_name,
-                    "vp_below": vp_below,
-                    "leaving": set(leaving),
-                    "removed": t if child_name is None else None,
-                }
-            )
-            if node.is_root or not vp_d:
-                break
-            child_name, vp_below = node.name, vp_d
-            node = self.nodes[node.parent]
-            leaving = set()
-            if child_name in node.def_children:
-                for kv in vp_d:
-                    if node.tuples.get(kv, -1) == node.n_children:
-                        leaving.add(kv)
-            else:
-                idx = node.child_index[child_name]
-                for kv in vp_d:
-                    for t2 in idx.get(kv, ()):
-                        if node.tuples[t2] == node.n_children:
-                            leaving.add(t2)
-        return changes, plan
-
-    def _delete_apply(self, plan: list[dict]) -> None:
-        for lvl in plan:
-            node = self.nodes[lvl["node"]]
-            if lvl["removed"] is not None:
-                t = lvl["removed"]
-                del node.tuples[t]
-                self.stats["counter_changes"] += 1
-                self._unindex(node, t)
-            else:
-                if lvl["child"] in node.def_children:
-                    for kv in lvl["vp_below"]:
-                        node.tuples[kv] -= 1
-                        self.stats["counter_changes"] += 1
-                        node.def_pres[kv] -= 1
-                        if node.def_pres[kv] == 0:
-                            # last defining support gone: candidate vanishes
-                            del node.def_pres[kv]
-                            del node.tuples[kv]
-                            self._unindex(node, kv)
-                else:
-                    idx = node.child_index[lvl["child"]]
-                    for kv in lvl["vp_below"]:
-                        for t2 in idx.get(kv, ()):
-                            node.tuples[t2] -= 1
-                            self.stats["counter_changes"] += 1
-            for t2 in lvl["leaving"]:
-                node._vs_remove(t2)
+    @staticmethod
+    def _index(node: _Node, t: tuple) -> None:
+        for idx, g in node.cidx:
+            idx.setdefault(g(t), set()).add(t)
 
     @staticmethod
     def _unindex(node: _Node, t: tuple) -> None:
         for idx, g in node.cidx:
             kv = g(t)
-            s = idx.get(kv)
-            if s is not None:
-                s.discard(t)
-                if not s:
-                    del idx[kv]
+            s = idx[kv]
+            s.discard(t)
+            if not s:
+                del idx[kv]
 
     # ------------------------------------------------------------------
     # witnesses (Def. 5.6) and delta enumeration (Algorithm 6)

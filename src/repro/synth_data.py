@@ -4,14 +4,19 @@ SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
 benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
 DuckDB oracle sees identical input.
 """
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+
+if TYPE_CHECKING:  # the pandas generators run without pyspark loaded
+    from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
 _N_CUSTOMER_PER_SF = 150_000
-_N_PART_PER_SF = 200_000
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -21,7 +26,7 @@ def _rng(seed: int) -> np.random.Generator:
 def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
     n = max(1, int(_N_LINEITEM_PER_SF * sf))
     n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_part = max(1, int(_N_PART_PER_SF * sf))
+    n_part = max(1, int(200_000 * sf))  # TPC-H's parts per SF
     g = _rng(seed)
     pdf = pd.DataFrame(
         {
@@ -56,23 +61,6 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
             "o_orderpriority": g.choice(
                 ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
             ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(
-                ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
-            ),
-            "p_brand": g.choice([f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
-            "p_size": g.integers(1, 51, n),
-            "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
         }
     )
     return spark.createDataFrame(pdf)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import uuid
+from collections import Counter
 
 import pytest
 
@@ -51,10 +52,46 @@ def check_live(eng, q: set, what: str) -> None:
         expect = {tuple(r[i] for i in pos) for r in q}
         assert node.live == expect, f"{what}: live({node.name})"
         for c, idx in node.live_idx.items():
-            groups: dict = {}
-            for lv in node.live:
-                groups.setdefault(node.cky_get[c](lv), set()).add(lv)
+            groups = _grouped(node.live, node.cky_get[c])
             assert idx == groups, f"{what}: live_idx({node.name}, {c})"
+
+
+def check_counters(eng, dbs: dict[str, set], what: str) -> None:
+    """Every node's propagation state recomputed bottom-up from the live
+    stream database ``dbs``: R_e (an atom's admitted tuples, or for a
+    generalized node the union of its defining children's V_p), each
+    derivation counter, ``def_pres``, each ``child_index`` grouping, and
+    the V_s indexes ``vs_by_key``, ``vs_yproj`` and ``vs_key_yproj``."""
+    atom_of = {eng.tree.relation_node(r.name): r for r in eng.cq.relations}
+    vp: dict[str, set] = {}
+    for name in reversed(eng.tree.preorder()):  # children first
+        n = eng.nodes[name]
+        if n.is_gen:
+            rel = set().union(*(vp[c] for c in n.def_children))
+        else:
+            r = atom_of[name]
+            assert r.attrs == n.attrs, f"{what}: attrs({name})"
+            admit = eng.cq.admits(r.name)
+            rel = {t for t in dbs.get(r.stream, ()) if admit(t)}
+        counts = {t: sum(n.ck_get[c](t) in vp[c] for c in n.children) for t in rel}
+        assert n.tuples == counts, f"{what}: counters({name})"
+        pres = {t: sum(t in vp[c] for c in n.def_children) for t in rel} if n.is_gen else {}
+        assert n.def_pres == pres, f"{what}: def_pres({name})"
+        for c, idx in n.child_index.items():
+            assert idx == _grouped(rel, n.ck_get[c]), f"{what}: child_index({name}, {c})"
+        vs = {t for t, k in counts.items() if k == n.n_children}
+        assert n.vs_by_key == _grouped(vs, n.key_get), f"{what}: vs_by_key({name})"
+        assert n.vs_yproj == Counter(map(n.y_get, vs)), f"{what}: vs_yproj({name})"
+        kyproj = {kv: Counter(map(n.y_get, ts)) for kv, ts in _grouped(vs, n.key_get).items()}
+        assert n.vs_key_yproj == (kyproj if n.needs_kyproj else {}), f"{what}: vs_key_yproj({name})"
+        vp[name] = set(map(n.key_get, vs))
+
+
+def _grouped(ts, key) -> dict:
+    groups: dict = {}
+    for t in ts:
+        groups.setdefault(key(t), set()).add(t)
+    return groups
 
 
 def random_updates(

@@ -14,7 +14,8 @@ from repro.cq.join_tree import best_tree, free_connex_trees
 from repro.cq.query import CQ, Relation
 from repro.streams.sequences import Update
 from tests._util import (
-    expected_result, fuzz_engine_vs_naive, output_orders, query_in_order,
+    check_counters, expected_result, fuzz_engine_vs_naive, output_orders, query_in_order,
+    random_updates,
 )
 
 GRAPH_ARITY = {"G": 2}
@@ -89,6 +90,26 @@ def test_every_tree_gives_same_deltas(name):
             seed=100 + i,
             post_filter=bq.post_filter,
         )
+
+
+def test_snb_q2_counters_on_every_tree():
+    """Every counter, index and V_s view of every SNB Q2 tree after
+    every update, recomputed from scratch. Most of these trees put a
+    generalized node mid-tree with a defining and a counted child, so
+    propagation makes and drops candidates of its virtual relation."""
+    bq = SNB_QUERIES["snb_q2"]()
+    streams = {r.stream: 0 for r in bq.cq.relations}
+    trees = free_connex_trees(bq.cq)
+    assert len(trees) == 16
+    for i, tree in enumerate(trees):
+        eng = CrownEngine(bq.cq, tree)
+        dbs: dict[str, set] = {s: set() for s in streams}
+        updates = random_updates(streams, 200, seed=i, tuple_maker=snb_tuple_maker)
+        for step, (s, t, ins) in enumerate(updates):
+            (dbs[s].add if ins else dbs[s].discard)(t)
+            eng.apply(Update(s, t, ins))
+            check_counters(eng, dbs, f"snb_q2 tree {i} step {step}")
+        assert eng.stats["deltas"] > 0, f"tree {i}"
 
 
 _R, _S, _T = Relation("R", ("A", "B")), Relation("S", ("B", "C")), Relation("T", ("C", "D"))

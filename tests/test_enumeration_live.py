@@ -7,7 +7,7 @@ from repro.cq.join_tree import free_connex_trees
 from repro.cq.query import CQ, Relation
 from repro.streams.sequences import Update
 from tests._util import (
-    check_live, expected_result, output_orders, query_in_order, random_updates,
+    check_counters, check_live, expected_result, output_orders, query_in_order, random_updates,
 )
 
 
@@ -49,7 +49,9 @@ class TestLiveViews:
     def test_live_view_invariant(self, name):
         """Every live view of every free-connex tree after every update.
         Only the live nodes in a witness node's subtree are updated, so a
-        tree whose other live views would change shows here."""
+        tree whose other live views would change shows here. Every
+        counter, index and V_s view is checked against a from-scratch
+        recomputation too."""
         bq = GRAPH_QUERIES[name]()
         arity = ARITY.get(name, {"G": 2})
         engines = [CrownEngine(bq.cq, tree, post_filter=bq.post_filter)
@@ -60,7 +62,9 @@ class TestLiveViews:
             q = expected_result(bq.cq, dbs)  # live views ignore post_filter
             for i, eng in enumerate(engines):
                 eng.apply(Update(s, t, ins))
-                check_live(eng, q, f"{name} tree {i} step {step}")
+                what = f"{name} tree {i} step {step}"
+                check_live(eng, q, what)
+                check_counters(eng, dbs, what)
 
     def test_rebuild_live_equals_incremental(self):
         """``rebuild_live`` (the root's witness plan over V_s(root)) and

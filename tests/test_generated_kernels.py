@@ -1,12 +1,12 @@
 """``CrownEngine``'s generated enumeration code (``_compile``): names
 that are no Python identifiers, one engine's kernels bound to its own
-state only, no reference cycle, and the file names that profiles and
-tracebacks show."""
+state only, no reference cycle, no counter state read, and the file
+names that profiles and tracebacks show."""
 import gc
 import weakref
 from types import FunctionType
 
-from repro.bench.queries import GRAPH_QUERIES
+from repro.bench.queries import GRAPH_QUERIES, SNB_QUERIES
 from repro.core.engine import CrownEngine
 from repro.cq.join_tree import free_connex_trees
 from repro.cq.query import CQ, Relation
@@ -92,3 +92,31 @@ def test_kernels_are_named_by_query_and_plan():
     names = {name: k.__code__.co_filename for name, k in eng._wplans.items()}
     assert names == {n: f"<crown 4hop_full {n}>" for n in eng.nodes}
     assert eng._full.__code__.co_filename == "<crown 4hop_full enumerate_full>"
+
+
+def test_kernels_read_no_counters():
+    """Propagation moves every counter before a deletion's delta is
+    enumerated against the V_s of before the deletion. That is sound
+    only while enumeration reads no counter state: no generated function
+    (witness plans, ``enumerate_full`` and the FullEnum parts bound in
+    them) holds a node's ``tuples``, ``def_pres`` or ``child_index``
+    dicts, on any tree of any graph or SNB query or of ODD."""
+    queries = [q().cq for q in (*GRAPH_QUERIES.values(), *SNB_QUERIES.values())] + [ODD]
+    parts = 0
+    for cq in queries:
+        for i, tree in enumerate(free_connex_trees(cq)):
+            eng = CrownEngine(cq, tree)
+            counters = {id(d) for n in eng.nodes.values()
+                        for d in (n.tuples, n.def_pres, n.child_index, *n.child_index.values())}
+            todo, done = [*eng._wplans.values(), eng._full], set()
+            while todo:
+                fn = todo.pop()
+                if fn in done:
+                    continue
+                done.add(fn)
+                for name, v in fn.__globals__.items():
+                    assert id(v) not in counters, f"{fn.__code__.co_filename} tree {i}: {name}"
+                    if isinstance(v, FunctionType):
+                        todo.append(v)
+            parts += sum("FullEnum" in fn.__code__.co_filename for fn in done)
+    assert parts > 0
