@@ -45,14 +45,14 @@ def expected_result(cq: CQ, stream_db: dict[str, set], post_filter=None) -> set:
 
 def check_live(eng, q: set, what: str) -> None:
     """V_l(R_e) = π_{e∩y} Q(D) at every live node (Lemma 5.5), and each
-    ``live_idx[c]`` is ``live`` grouped by ``cky_get[c]``."""
+    ``live_idx[c]`` is ``live`` grouped by key(c) ∩ y."""
     out = eng.cq.output
     for node in eng._live_nodes:
         pos = [out.index(a) for a in node.y_attrs]
         expect = {tuple(r[i] for i in pos) for r in q}
         assert node.live == expect, f"{what}: live({node.name})"
         for c, idx in node.live_idx.items():
-            groups = _grouped(node.live, node.cky_get[c])
+            groups = _grouped(node.live, _cols(node.y_attrs, eng.nodes[c].key_y_attrs))
             assert idx == groups, f"{what}: live_idx({node.name}, {c})"
 
 
@@ -73,18 +73,26 @@ def check_counters(eng, dbs: dict[str, set], what: str) -> None:
             assert r.attrs == n.attrs, f"{what}: attrs({name})"
             admit = eng.cq.admits(r.name)
             rel = {t for t in dbs.get(r.stream, ()) if admit(t)}
-        counts = {t: sum(n.ck_get[c](t) in vp[c] for c in n.children) for t in rel}
+        ck = {c: _cols(n.attrs, eng.tree.key(c)) for c in n.children}
+        key, yv = _cols(n.attrs, eng.tree.key(name)), _cols(n.attrs, n.y_attrs)
+        counts = {t: sum(ck[c](t) in vp[c] for c in n.children) for t in rel}
         assert n.tuples == counts, f"{what}: counters({name})"
         pres = {t: sum(t in vp[c] for c in n.def_children) for t in rel} if n.is_gen else {}
         assert n.def_pres == pres, f"{what}: def_pres({name})"
         for c, idx in n.child_index.items():
-            assert idx == _grouped(rel, n.ck_get[c]), f"{what}: child_index({name}, {c})"
+            assert idx == _grouped(rel, ck[c]), f"{what}: child_index({name}, {c})"
         vs = {t for t, k in counts.items() if k == n.n_children}
-        assert n.vs_by_key == _grouped(vs, n.key_get), f"{what}: vs_by_key({name})"
-        assert n.vs_yproj == Counter(map(n.y_get, vs)), f"{what}: vs_yproj({name})"
-        kyproj = {kv: Counter(map(n.y_get, ts)) for kv, ts in _grouped(vs, n.key_get).items()}
+        assert n.vs_by_key == _grouped(vs, key), f"{what}: vs_by_key({name})"
+        assert n.vs_yproj == Counter(map(yv, vs)), f"{what}: vs_yproj({name})"
+        kyproj = {kv: Counter(map(yv, ts)) for kv, ts in _grouped(vs, key).items()}
         assert n.vs_key_yproj == (kyproj if n.needs_kyproj else {}), f"{what}: vs_key_yproj({name})"
-        vp[name] = set(map(n.key_get, vs))
+        vp[name] = set(map(key, vs))
+
+
+def _cols(layout: tuple, attrs):
+    """The projection of a tuple laid out as ``layout`` onto ``attrs``."""
+    pos = [layout.index(a) for a in attrs]
+    return lambda t: tuple(t[i] for i in pos)
 
 
 def _grouped(ts, key) -> dict:

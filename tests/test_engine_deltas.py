@@ -112,6 +112,33 @@ def test_snb_q2_counters_on_every_tree():
         assert eng.stats["deltas"] > 0, f"tree {i}"
 
 
+def test_snb_q1_counters_on_every_tree():
+    """Deltas against the naive oracle, and every counter, index and V_s
+    view recomputed from scratch, after every update on every SNB Q1
+    tree. Of the benchmark queries only Q1 has trees with a boundary
+    node that holds output attributes beyond its key, whose π_y rows per
+    key (``vs_key_yproj``) are its enumerated part."""
+    bq = SNB_QUERIES["snb_q1"]()
+    streams = {r.stream: 0 for r in bq.cq.relations}
+    trees = free_connex_trees(bq.cq)
+    assert sum(CrownEngine(bq.cq, t).nodes[n].needs_kyproj for t in trees for n in t.nodes) > 0
+    for i, tree in enumerate(trees):
+        eng = CrownEngine(bq.cq, tree, post_filter=bq.post_filter)
+        dbs: dict[str, set] = {s: set() for s in streams}
+        cur: set = set()
+        updates = random_updates(streams, 200, seed=i, tuple_maker=snb_tuple_maker)
+        for step, (s, t, ins) in enumerate(updates):
+            what = f"snb_q1 tree {i} step {step}"
+            (dbs[s].add if ins else dbs[s].discard)(t)
+            got = eng.apply(Update(s, t, ins))
+            new = expected_result(bq.cq, dbs, bq.post_filter)
+            assert sorted(got) == sorted(
+                [(1, r) for r in new - cur] + [(-1, r) for r in cur - new]), what
+            check_counters(eng, dbs, what)
+            cur = new
+        assert eng.stats["deltas"] > 0, f"tree {i}"
+
+
 _R, _S, _T = Relation("R", ("A", "B")), Relation("S", ("B", "C")), Relation("T", ("C", "D"))
 BOOLEAN_QUERIES = [CQ((_R,), (), "R"), CQ((_R, _S), (), "RS"), CQ((_R, _S, _T), (), "RST")]
 
@@ -157,6 +184,30 @@ def test_null_join_attribute_matches_nothing():
     assert eng.apply(Update("R", (1, None), False)) == []
     assert shard.apply_atom("S", (None, 7), False) == []
     assert eng.apply(Update("R", (None, 5), False)) == [(-1, (None, 5, 7))]
+
+
+@pytest.mark.parametrize("name", ["4hop_full", "3hop_full"])
+def test_apply_atom_equals_apply(name):
+    """``apply_atom``, as ``PartitionedCrown``'s shards drive it, fed each
+    admitted atom of every update in ``cq.relations`` order, gives
+    ``apply``'s deltas, ``enumerate_full`` and ``stats`` on every tree
+    (self-join atoms included); its ``updates`` counts atom calls."""
+    cq = GRAPH_QUERIES[name]().cq
+    for i, tree in enumerate(free_connex_trees(cq)):
+        eng, shard = CrownEngine(cq, tree), CrownEngine(cq, tree)
+        calls = 0
+        for step, (s, t, ins) in enumerate(random_updates(GRAPH_ARITY, 150, dom=5, seed=i)):
+            what = f"{name} tree {i} step {step}"
+            want = eng.apply(Update(s, t, ins))
+            got = []
+            for r in cq.relations:
+                if r.stream == s and cq.admits(r.name)(t):
+                    got += shard.apply_atom(r.name, t, ins)
+                    calls += 1
+            assert got == want, what
+            assert list(shard.enumerate_full()) == list(eng.enumerate_full()), what
+        assert eng.stats["deltas"] > 0 and eng.stats["noop_updates"] > 0
+        assert shard.stats == {**eng.stats, "updates": calls}, f"{name} tree {i}"
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -41,6 +41,35 @@ def test_enumeration_is_restartable():
     assert set(eng.enumerate_full()) == set(eng.enumerate_full())
 
 
+def test_update_during_enumeration_raises():
+    """``enumerate_full`` reads the live state: on random hop3_full
+    states, one update after the first row (even a no-op one) makes the
+    rest of the read raise ``RuntimeError`` rather than return a set
+    that is neither Q(D) nor Q(D'). A drained read followed by an update
+    still works, and so does the read after it."""
+    cq = GRAPH_QUERIES["3hop_full"]().cq
+    raised = 0
+    for seed in range(200):
+        eng = CrownEngine(cq)
+        dbs = {"G": set()}
+        ups = list(random_updates({"G": 2}, 40, dom=5, seed=seed))
+        for s, t, ins in ups[:-1]:
+            (dbs[s].add if ins else dbs[s].discard)(t)
+            eng.apply(Update(s, t, ins))
+        assert set(eng.enumerate_full()) == expected_result(cq, dbs), f"seed {seed}"
+        rows = eng.enumerate_full()
+        if next(rows, None) is None:
+            continue
+        s, t, ins = ups[-1]
+        eng.apply(Update(s, t, ins))
+        with pytest.raises(RuntimeError):
+            list(rows)
+        raised += 1
+        (dbs[s].add if ins else dbs[s].discard)(t)
+        assert set(eng.enumerate_full()) == expected_result(cq, dbs), f"seed {seed}"
+    assert raised > 100
+
+
 ARITY = {"2comb": {"G": 2, "V1": 1, "V2": 1}}
 
 

@@ -1,17 +1,19 @@
-"""``CrownEngine``'s generated enumeration code (``_compile``): names
-that are no Python identifiers, one engine's kernels bound to its own
-state only, no reference cycle, no counter state read, and the file
-names that profiles and tracebacks show."""
+"""``CrownEngine``'s generated code (``_compile``): names that are no
+Python identifiers, one engine's triggers and kernels bound to its own
+state only, no reference cycle, no counter state read by enumeration,
+the file names that profiles and tracebacks show, and one compile per
+source."""
 import gc
 import weakref
 from types import FunctionType
 
 from repro.bench.queries import GRAPH_QUERIES, SNB_QUERIES
+from repro.core import engine
 from repro.core.engine import CrownEngine
-from repro.cq.join_tree import free_connex_trees
+from repro.cq.join_tree import best_tree, free_connex_trees
 from repro.cq.query import CQ, Relation
 from repro.streams.sequences import Update
-from tests._util import check_live, expected_result, random_updates
+from tests._util import check_counters, check_live, expected_result, random_updates
 
 # relation and attribute names that are keywords, hold dots, spaces,
 # quotes or backslashes: none may reach the generated source
@@ -29,10 +31,11 @@ ARITY = {r.name: len(r.attrs) for r in ODD.relations}
 
 
 def test_odd_names_on_every_tree():
-    """Deltas, ``enumerate_full``, the live views and the no-op count on
-    every free-connex tree against ``naive.evaluate``. A second engine
-    built from the same query and tree, never fed, stays empty: a kernel
-    bound to another engine's dicts would show there."""
+    """Deltas, ``enumerate_full``, the live views, every counter and
+    index (``check_counters``) and the no-op count on every free-connex
+    tree against ``naive.evaluate``. A second engine built from the same
+    query and tree, never fed, stays empty: a kernel bound to another
+    engine's dicts would show there."""
     trees = free_connex_trees(ODD)
     assert len(trees) > 1
     for i, tree in enumerate(trees):
@@ -51,6 +54,7 @@ def test_odd_names_on_every_tree():
             rows = list(eng.enumerate_full())
             assert len(rows) == len(new) and set(rows) == new, what
             check_live(eng, new, what)
+            check_counters(eng, dbs, what)
             cur = new
         assert eng.stats["deltas"] > 0 and eng.stats["witnesses"] > 0, f"tree {i}"
         assert eng.stats["noop_updates"] == noops > 0
@@ -60,11 +64,17 @@ def test_odd_names_on_every_tree():
         assert all(not n.live for n in idle._live_nodes)
 
 
+def triggers(eng) -> list:
+    return [f for pair in eng._triggers.values() for f in pair]
+
+
 def test_dropped_engine_is_freed_without_gc():
     """No reference cycle runs through an engine, its ``_Node``s or its
-    generated functions (a function in its own globals would be one, and
-    would keep the node dicts it reads), so all of them go with the
-    engine's last reference even when the cyclic collector is off."""
+    generated functions, triggers included (a function in its own
+    globals would be one, and would keep the node dicts it reads; so
+    would a trigger that bound the engine or one of its bound methods),
+    so all of them go with the engine's last reference even when the
+    cyclic collector is off."""
     bq = GRAPH_QUERIES["4hop_full"]()
     was = gc.isenabled()
     gc.disable()
@@ -73,7 +83,7 @@ def test_dropped_engine_is_freed_without_gc():
         for s, t, ins in random_updates({"G": 2}, 200, dom=5, seed=1):
             eng.apply(Update(s, t, ins))
         assert list(eng.enumerate_full())
-        kernels = [*eng._wplans.values(), eng._full]
+        kernels = [*eng._wplans.values(), eng._full, eng._rebuild, *triggers(eng)]
         kernels += [f for k in kernels for f in k.__globals__.values()
                     if isinstance(f, FunctionType)]
         refs = [weakref.ref(x) for x in [eng, *eng.nodes.values(), *kernels]]
@@ -86,12 +96,44 @@ def test_dropped_engine_is_freed_without_gc():
 
 def test_kernels_are_named_by_query_and_plan():
     """Each generated function is compiled under a file name that names
-    the query and the plan, for cProfile, traces and tracebacks."""
+    the query and the plan, for cProfile, traces and tracebacks: one
+    trigger per atom and sign. No kernel binds a trigger."""
     bq = GRAPH_QUERIES["4hop_full"]()
     eng = CrownEngine(bq.cq)
     names = {name: k.__code__.co_filename for name, k in eng._wplans.items()}
     assert names == {n: f"<crown 4hop_full {n}>" for n in eng.nodes}
     assert eng._full.__code__.co_filename == "<crown 4hop_full enumerate_full>"
+    assert eng._rebuild.__code__.co_filename == "<crown 4hop_full rebuild_live>"
+    names = {(rel, sign): f.__code__.co_filename
+             for rel, pair in eng._triggers.items() for sign, f in zip("+-", pair)}
+    assert names == {(r, s): f"<crown 4hop_full trigger {r} {s}1>"
+                     for r in ("G1", "G2", "G3", "G4") for s in "+-"}
+    bound = {id(v) for k in [*eng._wplans.values(), eng._full]
+             for v in k.__globals__.values()}
+    assert not bound & set(map(id, triggers(eng)))
+
+
+def test_code_is_compiled_once_per_source(monkeypatch):
+    """A second engine on the same query and tree calls no ``compile``:
+    every function's code object is the first engine's, under the same
+    file name, bound to the second engine's own dicts. A new query does
+    compile."""
+    cq = GRAPH_QUERIES["4hop_full"]().cq
+    tree = best_tree(cq)
+
+    def generated(eng) -> list:
+        return [*eng._wplans.values(), eng._full, eng._rebuild, *triggers(eng)]
+
+    first = CrownEngine(cq, tree)
+    compiled = []
+    monkeypatch.setattr(engine, "compile", lambda *a: compiled.append(a[1]) or compile(*a),
+                        raising=False)
+    second = CrownEngine(cq, tree)
+    assert compiled == []
+    for f, g in zip(generated(first), generated(second), strict=True):
+        assert f.__code__ is g.__code__ and f.__globals__ is not g.__globals__
+    CrownEngine(cq.with_output(reversed(cq.output)), tree)
+    assert compiled
 
 
 def test_kernels_read_no_counters():
