@@ -24,23 +24,19 @@ from repro.cq.query import CQ, Relation, Selection
 
 @dataclass
 class BenchQuery:
-    """A benchmark query: the CQ, oracle SQL, and stream metadata."""
+    """A benchmark query: the CQ, its oracle SQL, an emission-time
+    filter over output attributes (SNB Q3's ``<>``), and whether it is
+    cyclic (run through a GHD)."""
 
     cq: CQ
     sql: str
-    streams: dict[str, tuple[str, ...]]  # stream -> column names of feed
     post_filter: Callable | None = None
-    kind: str = "graph"  # "graph" | "snb"
     cyclic: bool = False
-    notes: str = ""
 
 
 # ---------------------------------------------------------------------------
 # graph pattern queries (Nguyen et al. benchmark, adapted to updates)
 # ---------------------------------------------------------------------------
-
-_G_STREAMS = {"G": ("src", "dst")}
-
 
 def hop3_full() -> BenchQuery:
     cq = CQ(
@@ -58,7 +54,7 @@ def hop3_full() -> BenchQuery:
         FROM G G1, G G2, G G3
         WHERE G1.dst = G2.src AND G2.dst = G3.src AND G3.dst % 10 = 0
     """
-    return BenchQuery(cq, sql, _G_STREAMS)
+    return BenchQuery(cq, sql)
 
 
 def hop3_proj() -> BenchQuery:
@@ -76,7 +72,7 @@ def hop3_proj() -> BenchQuery:
         FROM G G1, G G2, G G3
         WHERE G1.dst = G2.src AND G2.dst = G3.src
     """
-    return BenchQuery(cq, sql, _G_STREAMS)
+    return BenchQuery(cq, sql)
 
 
 def hop4_full() -> BenchQuery:
@@ -97,7 +93,7 @@ def hop4_full() -> BenchQuery:
         WHERE G1.dst = G2.src AND G2.dst = G3.src AND G3.dst = G4.src
           AND G4.dst % 10 = 0
     """
-    return BenchQuery(cq, sql, _G_STREAMS)
+    return BenchQuery(cq, sql)
 
 
 def hop4_proj() -> BenchQuery:
@@ -119,7 +115,7 @@ def hop4_proj() -> BenchQuery:
         WHERE G1.dst = G2.src AND G2.dst = G3.src AND G3.dst = G4.src
           AND G4.dst % 10 = 0
     """
-    return BenchQuery(cq, sql, _G_STREAMS)
+    return BenchQuery(cq, sql)
 
 
 def star() -> BenchQuery:
@@ -139,7 +135,7 @@ def star() -> BenchQuery:
         FROM G G1, G G2, G G3
         WHERE G1.src = G2.src AND G2.src = G3.src AND G3.dst % 10 = 0
     """
-    return BenchQuery(cq, sql, _G_STREAMS)
+    return BenchQuery(cq, sql)
 
 
 def comb2() -> BenchQuery:
@@ -165,9 +161,7 @@ def comb2() -> BenchQuery:
         WHERE G1.dst = G2.src AND G2.dst = G3.src
           AND V1.v = G1.src AND V2.v = G3.dst
     """
-    return BenchQuery(
-        cq, sql, {"G": ("src", "dst"), "V1": ("v",), "V2": ("v",)}
-    )
+    return BenchQuery(cq, sql)
 
 
 def dumbbell_full() -> BenchQuery:
@@ -194,7 +188,7 @@ def dumbbell_full() -> BenchQuery:
           AND G5.dst = G6.src AND G6.dst = G7.src AND G7.dst = G5.src
           AND G4.src = G3.src AND G4.dst = G5.src
     """
-    return BenchQuery(cq, sql, _G_STREAMS, cyclic=True)
+    return BenchQuery(cq, sql, cyclic=True)
 
 
 def dumbbell_proj() -> BenchQuery:
@@ -207,21 +201,12 @@ def dumbbell_proj() -> BenchQuery:
           AND G5.dst = G6.src AND G6.dst = G7.src AND G7.dst = G5.src
           AND G4.src = G3.src AND G4.dst = G5.src
     """
-    return BenchQuery(cq, sql, _G_STREAMS, cyclic=True)
+    return BenchQuery(cq, sql, cyclic=True)
 
 
 # ---------------------------------------------------------------------------
 # LDBC-SNB-lite analytical queries
 # ---------------------------------------------------------------------------
-
-_SNB_STREAMS = {
-    "person": ("p_personid", "p_firstname", "p_lastname"),
-    "knows": ("k_person1id", "k_person2id"),
-    "tag": ("t_tagid", "t_name"),
-    "message": ("m_messageid", "m_creatorid", "m_c_replyof"),
-    "message_tag": ("mt_messageid", "mt_tagid"),
-}
-
 
 NOT_REPLY = Selection("ro", "is null")  # m_c_replyof IS NULL
 
@@ -242,7 +227,7 @@ def snb_q1() -> BenchQuery:
         FROM person, message, knows
         WHERE p_personid = m_creatorid AND k_person2id = p_personid
     """
-    return BenchQuery(cq, sql, _SNB_STREAMS, kind="snb")
+    return BenchQuery(cq, sql)
 
 
 def snb_q2() -> BenchQuery:
@@ -266,7 +251,7 @@ def snb_q2() -> BenchQuery:
           AND k1.k_person2id = k2.k_person1id AND m_creatorid = k2.k_person2id
           AND m_c_replyof IS NULL AND k1.k_person1id % 10 = 0
     """
-    return BenchQuery(cq, sql, _SNB_STREAMS, kind="snb")
+    return BenchQuery(cq, sql)
 
 
 def snb_q3() -> BenchQuery:
@@ -275,14 +260,8 @@ def snb_q3() -> BenchQuery:
         base.cq.relations, base.cq.output, "snb_q3", base.cq.where
     )
     sql = base.sql + " AND k2.k_person2id <> k1.k_person1id"
-    return BenchQuery(
-        cq,
-        sql,
-        _SNB_STREAMS,
-        post_filter=lambda r: r["c"] != r["a"],
-        kind="snb",
-        notes="<> handled as an emission-time selection over output attrs",
-    )
+    # <> is an emission-time selection over output attrs
+    return BenchQuery(cq, sql, post_filter=lambda r: r["c"] != r["a"])
 
 
 def snb_q4_inner() -> BenchQuery:
@@ -307,7 +286,7 @@ def snb_q4_inner() -> BenchQuery:
           AND m_creatorid = k_person2id AND m_c_replyof IS NULL
           AND k_person1id % 10 = 0
     """
-    return BenchQuery(cq, sql, _SNB_STREAMS, kind="snb")
+    return BenchQuery(cq, sql)
 
 
 SNB_Q4_SQL = """

@@ -10,11 +10,11 @@ generalized join tree:
   number of children (Algorithms 2–4: R-/S-/P-UPDATE);
 - the projection view ``V_p(R_e) = π_key(e) V_s(R_e)`` via grouped hash
   indexes (derivation counting);
-- the live view ``V_l(R_e) = π_{e∩y} Q(D)`` (Lemma 5.5), used for
-  witness detection (Def. 5.6) and the delta-enumeration chains.
-  After each update only the live nodes below a witness can change;
-  their candidate values are read off the delta's factors: the S-chain
-  partials and the per-key child rows.
+- the live view ``V_l(R_e) = π_{e∩y} Q(D)`` (Lemma 5.5), whose
+  per-child groups ``live_idx`` the witness kernels' S-chains walk
+  (Def. 5.6). It is the semi-join of π_y V_s down the tree:
+  V_l(root) = π_y V_s(root), and a live node's V_l holds the values of
+  its π_y V_s whose key(e)∩y group is live in its parent.
 
 Per update the engine emits the exact delta ``ΔQ(D, t)`` (Algorithm 6)
 and supports full enumeration (Algorithm 5). Both, and maintenance, run
@@ -30,18 +30,18 @@ per-level decision when it is written: R-UPDATE, then per level the
 crossing test and the counted or defining-child P-UPDATE, each mover
 carried with its key and π_y value into its V_s move; then direct calls
 to the witness kernels of the changed nodes, and V_l upkeep. Crossings
-are read off V_s as it was before the update. Enumeration and V_l
-upkeep read V_s and V_l only, never a counter, so V_s moves before an
-insert's delta is enumerated and after a deletion's ("delta enumeration
-upon a deletion is done before the tuple deletion").
+are read off V_s as it was before the update. Enumeration reads V_s and
+V_l only, never a counter, so V_s moves before an insert's delta is
+enumerated and after a deletion's ("delta enumeration upon a deletion
+is done before the tuple deletion"). V_l upkeep follows, top-down from
+the Δ(π_y V_s) values of the path and the parent groups that appear or
+vanish, whether or not deltas are emitted.
 
 Design notes (see DESIGN.md § semantic decisions): witnesses use
 ``Δ(π_y V_s)`` via projection refcounts; witness checks and S-chains
 exclude the current update's own Δ values at every chain node, which
 realizes the "highest changed node claims the result" disjointness
-argument of Lemma 5.7 for insertions and deletions alike. The same
-exclusion keeps every chain value live across the update, so V_l
-upkeep is limited to the witness node's subtree.
+argument of Lemma 5.7 for insertions and deletions alike.
 """
 from __future__ import annotations
 
@@ -95,17 +95,19 @@ class _Source:
         self.env[name] = value
         return name
 
-    def group(self, idx: str, key: str, x: str) -> None:
-        """Add ``x`` to the set of the grouped index ``idx`` under ``key``."""
+    def group(self, idx: str, key: str, x: str, new: str = "") -> None:
+        """Add ``x`` to the set of the grouped index ``idx`` under ``key``;
+        ``new`` runs when the group appears."""
         self.line(f"s = {idx}.get({key})")
-        self.line(f"if s is None: {idx}[{key}] = {{{x}}}")
+        self.line(f"if s is None: {idx}[{key}] = {{{x}}}{new}")
         self.line(f"else: s.add({x})")
 
-    def ungroup(self, idx: str, key: str, x: str) -> None:
-        """Remove ``x`` from that set, dropping the set once empty."""
+    def ungroup(self, idx: str, key: str, x: str, gone: str = "") -> None:
+        """Remove ``x`` from that set, dropping the set once empty;
+        ``gone`` runs when the group vanishes."""
         self.line(f"s = {idx}[{key}]")
         self.line(f"if len(s) > 1: s.remove({x})")
-        self.line(f"else: del {idx}[{key}]")
+        self.line(f"else: del {idx}[{key}]{gone}")
 
     def row(self, var: str, layout: tuple[str, ...]) -> None:
         """From here on, ``var`` holds a tuple laid out as ``layout``."""
@@ -121,15 +123,6 @@ class _Source:
             if layout == attrs:
                 return var
         return "(" + "".join(f"{self.cols[a]}, " for a in attrs) + ")"
-
-    def read(self, var: str, layout: tuple[str, ...], attrs: Iterable[str]) -> str:
-        """``tup(attrs)`` with ``var`` bound for this expression only."""
-        cols, rows = dict(self.cols), list(self.rows)
-        self.row(var, layout)
-        try:
-            return self.tup(attrs)
-        finally:
-            self.cols, self.rows = cols, rows
 
     def build(self, filename: str) -> Callable:
         exec(_code("\n".join(self.lines) + "\n", filename), self.env)
@@ -181,9 +174,10 @@ class CrownEngine:
     """The paper's framework: join-free change propagation + enumeration.
 
     Results are plain tuples throughout. Every update runs one generated
-    trigger per admitted atom, and every enumeration (FullEnum per node,
-    each witness plan, ``enumerate_full``) is one generated loop nest,
-    all written and compiled once, at construction (``_compile``).
+    trigger per admitted atom, which also keeps the live views, and
+    every enumeration (FullEnum per node, each witness plan,
+    ``enumerate_full``) is one generated loop nest that only reads, all
+    written and compiled once, at construction (``_compile``).
 
     Parameters
     ----------
@@ -196,7 +190,8 @@ class CrownEngine:
         unfiltered query.
     emit_deltas : when False, ``apply`` skips witness detection and
         delta enumeration (pure maintenance mode, used by the
-        enclosureness experiments and for bulk loading).
+        enclosureness experiments and for bulk loading). The live views
+        are kept either way, so it may be switched on at any time.
 
     ``stats`` counts ``updates`` and emitted ``deltas``, the
     ``counter_changes`` of propagation, the ``witnesses`` (S-chain
@@ -249,24 +244,21 @@ class CrownEngine:
           child that adds no column to its key is left out (its part is
           non-empty by the V_s invariant);
         - per witness node (the root, and each node with output attrs
-          under a live parent), a kernel (Algorithm 6, Def. 5.6): the
-          S-chain to the root, one ``for`` per step that skips the
-          update's own Δ values at the step's node (``X_j``, one
-          parameter per step); on each surviving partial (a witness,
-          counted) the V_l adds read off it; the parts of the children
-          joined onto the chain, those feeding V_l read once per
-          distinct (child, key); then one loop per part, appending
-          ``(sign, row)`` in ``cq.output`` order;
+          under a live parent), a kernel ``fn(ys, X1, ..., out, sign)``
+          (Algorithm 6, Def. 5.6): the S-chain to the root, one ``for``
+          per step that skips the update's own Δ values at the step's
+          node (``X_j``); each surviving partial (a witness, counted)
+          joined with the parts of the children off the chain, then
+          one loop per part, appending ``(sign, row)`` in ``cq.output``
+          order. A kernel only reads;
         - ``enumerate_full``'s generator, the root kernel's loop nest
           over all of π_y V_s(root), which raises once an update moves
           ``_version`` under it;
-        - per atom and sign, its trigger (``_trigger``), and
-          ``rebuild_live``'s root kernel call with the triggers' V_l
-          insert code.
+        - per atom and sign, its trigger (``_trigger``), which also
+          keeps the live views (``_live``).
         """
         nodes, tree, out = self.nodes, self.tree, self.cq.output
         preorder = [nodes[name] for name in tree.preorder()]
-        order = {n.name: i for i, n in enumerate(preorder)}
         # per node: (part, rows) -- a stored dict or a compiled FullEnum,
         # and the columns of its rows -- or None when it adds no column
         parts: dict[str, tuple | None] = {}
@@ -291,7 +283,7 @@ class CrownEngine:
             src.line("add = out.append")
             src.open(f"for t in {src.bind(n.vs_by_key)}.get(kv, E):")
             src.row("t", n.attrs)
-            self._nest(src, kids, order, rows, "add({})", "out += {}")
+            self._nest(src, kids, rows, "add({})", "out += {}")
             src.depth = 1
             src.line("return out")
             parts[n.name] = (src.build(self._label(f"FullEnum {n.name}")), rows)
@@ -303,49 +295,26 @@ class CrownEngine:
         src.open(f"for v0 in {src.bind(root.vs_yproj)}:")
         src.line(moved)
         src.row("v0", root.y_attrs)
-        self._nest(src, self._kids(root, parts), order, out, "yield {}", "yield from {}")
+        self._nest(src, self._kids(root, parts), out, "yield {}", "yield from {}")
         src.depth = 1
         src.line(moved)
         self._full = src.build(self._label("enumerate_full"))
-        # live nodes root-first (deletion check is top-down)
+        # live nodes root-first, so a parent's groups settle before its
+        # children read them; each non-root one has a live parent (Def. 3.2)
         self._live_nodes = [n for n in preorder if n.live_maintained]
-        live_at = {n.name: i for i, n in enumerate(self._live_nodes)}
         self._wplans: dict[str, Callable] = {}
-        lives: dict[str, str] = {}  # per kernel, its V_l candidate-set parameters
         for n in preorder:
             if not n.is_root and not (nodes[n.parent].live is not None and n.y_attrs):
                 continue
             path = [nodes[p] for p in tree.path_to_root(n.name)]
             chain = list(zip(path, path[1:]))
-            head = n.y_attrs + sum((f.y_attrs for _, f in chain), ())
             # the enumerated children joined onto the chain; a boundary
             # node's subtree adds only e∩y, already in the chain
-            own = [] if n.boundary else self._kids(n, parts)
-            kids = own + [k for prev, f in chain if not f.boundary
-                          for k in self._kids(f, parts) if k[0] is not prev]
-            # V_l getters: only the live nodes of n's subtree can change
-            # (DESIGN.md), each read from the head or from one of n's own
-            # enumerated children
-            heads: list[tuple[int, tuple]] = []
-            for m in tree.subtree(n.name):
-                if m not in live_at:
-                    continue
-                ya = nodes[m].y_attrs
-                if set(ya) <= set(head):
-                    heads.append((live_at[m], ya))
-                    continue
-                kid = next((k for k in own
-                            if set(ya) <= set(tree.key(k[0].name)) | set(k[2])), None)
-                if kid is None:
-                    raise ValueError(
-                        f"live node {m}: y-attributes {ya} are in neither the "
-                        f"witness plan head {head} of {n.name} nor one child's rows"
-                    )
-                kid[3].append((live_at[m], ya))
-            used = sorted({i for i, _ in heads} | {i for k in kids for i, _ in k[3]})
-            lives[n.name] = "".join(f", L{i}" for i in used)
+            kids = ([] if n.boundary else self._kids(n, parts)) + [
+                k for prev, f in chain if not f.boundary
+                for k in self._kids(f, parts) if k[0] is not prev]
             xs = "".join(f"X{j}, " for j in range(1, len(path)))
-            src = _Source(f"ys, {xs}out, sign, seen{lives[n.name]}")
+            src = _Source(f"ys, {xs}out, sign")
             src.line("add = out.append")
             src.line("nw = 0")
             src.open("for v0 in ys:")
@@ -356,53 +325,41 @@ class CrownEngine:
                 src.line(f"if v{j} in X{j}: continue")
                 src.row(f"v{j}", f.y_attrs)
             src.line("nw += 1")
-            for i, ya in heads:
-                src.line(f"L{i}.add({src.tup(ya)})")
-            self._nest(src, kids, order, out, "add((sign, {}))", None)
+            self._nest(src, kids, out, "add((sign, {}))", None)
             src.depth = 1
             src.line("return nw")
             self._wplans[n.name] = src.build(self._label(n.name))
-        self._triggers = {r.name: tuple(self._trigger(r.name, d, lives) for d in (1, -1))
-                          for r in self.cq.relations}
-        src = _Source("")
-        src.line("out = []")
-        self._witnesses(src, [(root.name, [src.bind(root.vs_yproj)])], 1, lives)
-        self._live(src, 1)
-        self._rebuild = src.build(self._label("rebuild_live"))
+        # per atom, its (insert, delete) V_l upkeep and triggers; with no
+        # live root there is no live node
+        rels = [r.name for r in self.cq.relations]
+        self._vl = ({r: (self._live(r, 1), self._live(r, -1)) for r in rels}
+                    if self._live_nodes else {})
+        self._triggers = {r: (self._trigger(r, 1), self._trigger(r, -1)) for r in rels}
+
+    def _path(self, rel: str) -> list[_Node]:
+        """The nodes from atom ``rel``'s node up to the root."""
+        return [self.nodes[p] for p in self.tree.path_to_root(self.tree.relation_node(rel))]
 
     def _label(self, what: str) -> str:
         """The file name a generated function is compiled under, so that
         profiles and tracebacks name its query and plan."""
         return f"<crown {self.cq.name} {what}>"
 
-    def _kids(self, n: _Node, parts: dict[str, tuple | None]) -> list[list]:
-        """``[child, part, rows, V_l getters]`` per child of ``n`` that
-        adds columns to its key."""
-        return [[self.nodes[c], *parts[c], []] for c in n.children if parts[c] is not None]
+    def _kids(self, n: _Node, parts: dict[str, tuple | None]) -> list[tuple]:
+        """``(child, part, rows)`` per child of ``n`` that adds columns to
+        its key."""
+        return [(self.nodes[c], *parts[c]) for c in n.children if parts[c] is not None]
 
-    def _nest(self, src: _Source, kids: list[list], order: dict[str, int],
-              cols: tuple[str, ...], emit: str, whole: str | None) -> None:
+    def _nest(self, src: _Source, kids: list[tuple], cols: tuple[str, ...],
+              emit: str, whole: str | None) -> None:
         """Into ``src``, at rows already bound: each kid's part under its
-        key (feeding the kid's V_l getters once per distinct key, through
-        ``seen``), then one loop per part; the innermost line is ``emit``
-        of the row of ``cols``, or ``whole`` of the last part when that
-        row is the last part's row itself."""
-        for j, (c, part, rows, getters) in enumerate(kids):
-            k = src.tup(self.tree.key(c.name))
-            if getters and not k.isidentifier():
-                src.line(f"k{j} = {k}")
-                k = f"k{j}"
-            g = src.bind(part)
+        key, then one loop per part; the innermost line is ``emit`` of the
+        row of ``cols``, or ``whole`` of the last part when that row is
+        the last part's row itself."""
+        for j, (c, part, _) in enumerate(kids):
+            k, g = src.tup(self.tree.key(c.name)), src.bind(part)
             src.line(f"p{j} = {g}({k})" if callable(part) else f"p{j} = {g}.get({k}, E)")
-            if getters:
-                src.open(f"if ({order[c.name]}, {k}) not in seen:")
-                src.line(f"seen.add(({order[c.name]}, {k}))")
-                for i, ya in getters:
-                    e = src.read("r", rows, ya)
-                    src.line(f"L{i}.update(p{j})" if e == "r"
-                             else f"L{i}.update([{e} for r in p{j}])")
-                src.depth -= 1
-        for j, (_, _, rows, _) in enumerate(kids):
+        for j, (_, _, rows) in enumerate(kids):
             src.row(f"r{j}", rows)
             if whole and j == len(kids) - 1 and src.tup(cols) == f"r{j}":
                 src.line(whole.format(f"p{j}"))
@@ -414,16 +371,15 @@ class CrownEngine:
     # triggers: propagation (Algorithms 2–4), V_s moves, witness dispatch
     # (Def. 5.6, Algorithm 6) and V_l upkeep (Lemma 5.5) per atom and sign
     # ------------------------------------------------------------------
-    def _trigger(self, rel: str, d: int, lives: dict[str, str]) -> Callable:
+    def _trigger(self, rel: str, d: int) -> Callable:
         """``fn(t, out, emit)``: insert (d = 1) or delete (d = -1) ``t`` at
         atom ``rel``'s node. A no-op under set semantics is counted and
         dropped; then R-UPDATE, and per level of the path to the root the
         crossing test (``_crossing``) and the parent's P-UPDATE
         (``_pupdate``). When ``emit`` and a node with a witness kernel
-        changed, the kernels append to ``out`` and V_l is kept; a
-        deletion moves V_s between the two."""
-        tree, nodes = self.tree, self.nodes
-        path = [nodes[p] for p in tree.path_to_root(tree.relation_node(rel))]
+        changed, the kernels append to ``out``; a deletion then moves
+        V_s; last, V_l is kept (``_live``)."""
+        tree, path = self.tree, self._path(rel)
         top, n = len(path) - 1, path[0]
         src = _Source("t, out, emit")
         stats, tuples = src.bind(self.stats), src.bind(n.tuples)
@@ -440,26 +396,32 @@ class CrownEngine:
         later = [f"{v}{j}" for v in ("DM" if d < 0 else "D") for j in range(1, top + 1)]
         if later:
             src.line(" = ".join(later) + " = E")
-        src.line(f"k0 = {_proj('t', n.attrs, tree.key(n.name))}")
-        src.line(f"y0 = {_proj('t', n.attrs, n.y_attrs)}")
+        key = tree.key(n.name)
+        src.line(f"k0 = {_proj('t', n.attrs, key)}")
+        src.line(f"y0 = {'k0' if n.y_attrs == key else _proj('t', n.attrs, n.y_attrs)}")
         for j, n in enumerate(path):
             keys = self._crossing(src, n, j, j == top, d)
             if j < top:
                 self._pupdate(src, n, path[j + 1], j + 1, keys, d)
         src.depth = 1
         src.line(f"{stats}['counter_changes'] += cc")
-        calls = [(n.name, [f"D{i}" for i in range(j, top + 1)])
+        # a kernel per changed path node, with the Δ sets above it as its
+        # S-chain exclusions; the root always has one
+        calls = [(self._wplans[n.name], [f"D{i}" for i in range(j, top + 1)])
                  for j, n in enumerate(path) if n.name in self._wplans]
-        src.line(f"w = emit and ({' or '.join(args[0] for _, args in calls)})")
-        src.open("if w:")
-        self._witnesses(src, calls, d, lives)
+        src.open(f"if emit and ({' or '.join(args[0] for _, args in calls)}):")
+        src.line("nw = 0")
+        for kernel, args in calls:
+            src.line(f"if {args[0]}: nw += {src.bind(kernel)}({', '.join(args)}, out, {d})")
+        src.line(f"{stats}['witnesses'] += nw")
+        src.depth = 1
         if d < 0:
-            src.depth = 1
             for j, n in enumerate(path):
                 self._vs_out(src, n, j)
-            src.open("if w:")
-        self._live(src, d)
-        src.line(f"{stats}['witnesses'] += nw")
+        if self._vl:  # the live path nodes' Δ values, once any is not empty
+            ds = [f"D{j}" for j, n in enumerate(path) if n.live_maintained]
+            upkeep = src.bind(self._vl[rel][d < 0])
+            src.line(f"if {' or '.join(ds)}: {upkeep}({', '.join(ds)})")
         return src.build(self._label(f"trigger {rel} {d:+d}"))
 
     def _sat(self, src: _Source, n: _Node, var: str, children: Iterable[str]) -> str:
@@ -592,46 +554,74 @@ class CrownEngine:
             src.line(f"else: del {kyproj}[{k}]")
         src.depth = 1
 
-    def _witnesses(self, src: _Source, calls: list[tuple[str, list[str]]], d: int,
-                   lives: dict[str, str]) -> None:
-        """The V_l candidate sets ``L{i}``, one per live node, and per
-        ``(node, [Δ values, X_1, ...])`` in ``calls`` whose Δ values are
-        not empty, its witness kernel's call. A Δ(π_y V_s) value is a
-        witness iff its first S-chain step joins a parent live value
-        outside this update's own Δ values, so the kernel's S-chain walk
-        is the witness check; ``nw`` counts the witnesses."""
-        src.line("seen, nw = set(), 0")  # (child, key) pairs already read for V_l
-        for i in range(len(self._live_nodes)):
-            src.line(f"L{i} = set()")
-        for name, args in calls:
-            src.line(f"if {args[0]}: nw += {src.bind(self._wplans[name])}"
-                     f"({', '.join(args)}, out, {d}, seen{lives[name]})")
-
-    def _live(self, src: _Source, d: int) -> None:
-        """V_l upkeep from the candidate sets, per live node root-first:
-        an insert adds the new values, a deletion drops those no longer
-        in π_y V_s or joining no live value of the parent (Lemma 5.5;
-        top-down, so the parent has settled)."""
+    def _live(self, rel: str, d: int) -> Callable:
+        """``fn(D{j}, ...)``, atom ``rel``'s V_l upkeep (Lemma 5.5) for an
+        insert (d = 1) or deletion (d = -1), given the Δ(π_y V_s) values
+        of its live path nodes once V_s has moved. Per live node
+        root-first, by one rule: V_l(root) = π_y V_s(root), and a live
+        node's V_l holds the values of its π_y V_s whose key∩y group is
+        live in its parent (DESIGN.md argues it exact). An insert adds
+        the node's ``D{j}`` values that pass the parent test, a deletion
+        drops those that were live; and each adds or drops its π_y V_s
+        values under each parent group that appeared or vanished
+        (``G{i}``, filled as the parent moves). Like the kernels, it
+        reads V_s and V_l only."""
+        nodes, lives, path = self.nodes, self._live_nodes, self._path(rel)
+        level = {n.name: j for j, n in enumerate(path)}
+        at = {n.name: i for i, n in enumerate(lives)}
+        src = _Source(", ".join(f"D{j}" for j, n in enumerate(path) if n.live_maintained))
+        groups = [f"G{i}" for i, n in enumerate(lives) if not n.is_root]
+        if groups:
+            src.line(" = ".join(groups) + " = E")
         base = src.depth
-        for i, n in enumerate(self._live_nodes):
-            live = src.bind(n.live)
-            src.open(f"if L{i}:")
-            if d > 0:
-                src.line(f"L{i} -= {live}")
-                src.line(f"{live}.update(L{i})")
-                src.open(f"for lv in L{i}:")
+        for i, n in enumerate(lives):
+            j, live = level.get(n.name), src.bind(n.live)
+            if n.is_root:
+                src.line(f"A = D{j}")
             else:
-                test = f"lv not in {src.bind(n.vs_yproj)}"
-                if n.parent and self.nodes[n.parent].live is not None:
-                    up = src.bind(self.nodes[n.parent].live_idx[n.name])
-                    test += f" or {_proj('lv', n.y_attrs, n.key_y_attrs)} not in {up}"
-                src.open(f"for lv in L{i} & {live}:")
-                src.open(f"if {test}:")
-                src.line(f"{live}.remove(lv)")
+                if j is None:
+                    src.open(f"if G{i}:")
+                    src.line("A = set()")
+                elif d > 0:
+                    up = src.bind(nodes[n.parent].live_idx[n.name])
+                    g = _proj("v", n.y_attrs, n.key_y_attrs)
+                    src.line(f"A = {{v for v in D{j} if {g} in {up}}}")
+                else:
+                    src.line(f"A = {live}.intersection(D{j})")
+                src.open(f"for g in G{i}:")
+                self._under(src, n)
+                src.depth -= 1
+            src.open("if A:")
+            src.line(f"{live}.update(A)" if d > 0 else f"{live}.difference_update(A)")
+            for c in n.live_idx:
+                if c in at:
+                    src.line(f"G{at[c]} = []")
+            src.open("for v in A:")
             for c, idx in n.live_idx.items():
-                key = _proj("lv", n.y_attrs, self.nodes[c].key_y_attrs)
-                (src.group if d > 0 else src.ungroup)(src.bind(idx), key, "lv")
+                k, mark = _proj("v", n.y_attrs, nodes[c].key_y_attrs), ""
+                if c in at:
+                    if not k.isidentifier():
+                        src.line(f"k = {k}")
+                        k = "k"
+                    mark = f"; G{at[c]}.append({k})"
+                (src.group if d > 0 else src.ungroup)(src.bind(idx), k, "v", mark)
             src.depth = base
+        return src.build(self._label(f"live {rel} {d:+d}"))
+
+    def _under(self, src: _Source, n: _Node) -> None:
+        """Into ``A``, the values of π_y V_s(n) under its parent's group
+        ``g``, laid out as key(n)∩y. Output attrs of n beyond its key
+        imply key(n) ⊆ y (Def. 3.2), so there ``g`` is the whole key,
+        read off ``vs_key_yproj`` at a boundary node and off ``vs_by_key``
+        elsewhere; otherwise ``g`` fixes the one value."""
+        if not n.extra_y:
+            src.line(f"v = {_proj('g', n.key_y_attrs, n.y_attrs)}")
+            src.line(f"if v in {src.bind(n.vs_yproj)}: A.add(v)")
+        elif n.needs_kyproj:
+            src.line(f"A.update({src.bind(n.vs_key_yproj)}.get(g, E))")
+        else:
+            y, vs = _proj("t", n.attrs, n.y_attrs), f"{src.bind(n.vs_by_key)}.get(g, E)"
+            src.line(f"A.update({vs})" if y == "t" else f"A.update([{y} for t in {vs}])")
 
     # ------------------------------------------------------------------
     # update entry points
@@ -671,16 +661,15 @@ class CrownEngine:
         return out
 
     def bulk_load(self, db: dict[str, Iterable[tuple]]) -> None:
-        """Load initial data (insertion-only, deltas suppressed), then
-        rebuild live views from one full enumeration (O(|Q(D)|))."""
+        """Load initial data: inserts with deltas suppressed. The triggers
+        keep V_l either way, and an insert-only load only grows it, so
+        the load is linear in its input."""
         keep = self.emit_deltas
         self.emit_deltas = False
         for stream, rows in db.items():
             for t in rows:
                 self.apply(Update(stream, tuple(t), True))
         self.emit_deltas = keep
-        if self.emit_deltas:
-            self.rebuild_live()
 
     # ------------------------------------------------------------------
     # full enumeration (Algorithm 5)
@@ -695,15 +684,6 @@ class CrownEngine:
 
     def full_result_set(self) -> set[tuple]:
         return set(self.enumerate_full())
-
-    def rebuild_live(self) -> None:
-        """Recompute every live view (Lemma 5.5): the root's witness plan
-        over all of π_y V_s(root), then the triggers' V_l insert code."""
-        for node in self._live_nodes:
-            node.live.clear()
-            for idx in node.live_idx.values():
-                idx.clear()
-        self._rebuild()
 
     # ------------------------------------------------------------------
     # introspection

@@ -14,8 +14,8 @@ from repro.cq.join_tree import best_tree, free_connex_trees
 from repro.cq.query import CQ, Relation
 from repro.streams.sequences import Update
 from tests._util import (
-    check_counters, expected_result, fuzz_engine_vs_naive, output_orders, query_in_order,
-    random_updates,
+    check_counters, check_live, expected_result, fuzz_engine_vs_naive, output_orders,
+    query_in_order, random_updates,
 )
 
 GRAPH_ARITY = {"G": 2}
@@ -93,48 +93,47 @@ def test_every_tree_gives_same_deltas(name):
 
 
 def test_snb_q2_counters_on_every_tree():
-    """Every counter, index and V_s view of every SNB Q2 tree after
-    every update, recomputed from scratch. Most of these trees put a
+    """``check_snb_state`` on every SNB Q2 tree. Most of them put a
     generalized node mid-tree with a defining and a counted child, so
     propagation makes and drops candidates of its virtual relation."""
-    bq = SNB_QUERIES["snb_q2"]()
-    streams = {r.stream: 0 for r in bq.cq.relations}
-    trees = free_connex_trees(bq.cq)
-    assert len(trees) == 16
-    for i, tree in enumerate(trees):
-        eng = CrownEngine(bq.cq, tree)
-        dbs: dict[str, set] = {s: set() for s in streams}
-        updates = random_updates(streams, 200, seed=i, tuple_maker=snb_tuple_maker)
-        for step, (s, t, ins) in enumerate(updates):
-            (dbs[s].add if ins else dbs[s].discard)(t)
-            eng.apply(Update(s, t, ins))
-            check_counters(eng, dbs, f"snb_q2 tree {i} step {step}")
-        assert eng.stats["deltas"] > 0, f"tree {i}"
+    assert len(free_connex_trees(SNB_QUERIES["snb_q2"]().cq)) == 16
+    check_snb_state("snb_q2")
 
 
 def test_snb_q1_counters_on_every_tree():
-    """Deltas against the naive oracle, and every counter, index and V_s
-    view recomputed from scratch, after every update on every SNB Q1
-    tree. Of the benchmark queries only Q1 has trees with a boundary
-    node that holds output attributes beyond its key, whose π_y rows per
-    key (``vs_key_yproj``) are its enumerated part."""
-    bq = SNB_QUERIES["snb_q1"]()
-    streams = {r.stream: 0 for r in bq.cq.relations}
-    trees = free_connex_trees(bq.cq)
-    assert sum(CrownEngine(bq.cq, t).nodes[n].needs_kyproj for t in trees for n in t.nodes) > 0
-    for i, tree in enumerate(trees):
-        eng = CrownEngine(bq.cq, tree, post_filter=bq.post_filter)
+    """``check_snb_state`` on every SNB Q1 tree. Of the benchmark queries
+    only Q1 has trees with a boundary node that holds output attributes
+    beyond its key, whose π_y rows per key (``vs_key_yproj``) are its
+    enumerated part."""
+    cq = SNB_QUERIES["snb_q1"]().cq
+    trees = free_connex_trees(cq)
+    assert sum(CrownEngine(cq, t).nodes[n].needs_kyproj for t in trees for n in t.nodes) > 0
+    check_snb_state("snb_q1")
+
+
+def check_snb_state(name: str) -> None:
+    """On every tree of SNB query ``name`` (no post-filter), after every
+    update: deltas against the naive oracle, every live view
+    (``check_live``), and every counter, index and V_s view recomputed
+    from scratch (``check_counters``), with deltas emitted and without."""
+    cq = SNB_QUERIES[name]().cq
+    streams = {r.stream: 0 for r in cq.relations}
+    for i, tree in enumerate(free_connex_trees(cq)):
+        eng, quiet = CrownEngine(cq, tree), CrownEngine(cq, tree, emit_deltas=False)
         dbs: dict[str, set] = {s: set() for s in streams}
         cur: set = set()
         updates = random_updates(streams, 200, seed=i, tuple_maker=snb_tuple_maker)
         for step, (s, t, ins) in enumerate(updates):
-            what = f"snb_q1 tree {i} step {step}"
+            what = f"{name} tree {i} step {step}"
             (dbs[s].add if ins else dbs[s].discard)(t)
             got = eng.apply(Update(s, t, ins))
-            new = expected_result(bq.cq, dbs, bq.post_filter)
+            assert quiet.apply(Update(s, t, ins)) == [], what
+            new = expected_result(cq, dbs)
             assert sorted(got) == sorted(
                 [(1, r) for r in new - cur] + [(-1, r) for r in cur - new]), what
-            check_counters(eng, dbs, what)
+            for e in (eng, quiet):
+                check_live(e, new, what)
+                check_counters(e, dbs, what)
             cur = new
         assert eng.stats["deltas"] > 0, f"tree {i}"
 

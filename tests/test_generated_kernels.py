@@ -1,8 +1,8 @@
 """``CrownEngine``'s generated code (``_compile``): names that are no
-Python identifiers, one engine's triggers and kernels bound to its own
-state only, no reference cycle, no counter state read by enumeration,
-the file names that profiles and tracebacks show, and one compile per
-source."""
+Python identifiers, one engine's triggers, kernels and V_l upkeep bound
+to its own state only, no reference cycle, no counter state read by
+enumeration or V_l upkeep, the file names that profiles and tracebacks
+show, kernels that only read, and one compile per source."""
 import gc
 import weakref
 from types import FunctionType
@@ -60,12 +60,15 @@ def test_odd_names_on_every_tree():
         assert eng.stats["noop_updates"] == noops > 0
         assert list(idle.enumerate_full()) == []
         assert all(not n.live for n in idle._live_nodes)
-        idle.rebuild_live()
-        assert all(not n.live for n in idle._live_nodes)
 
 
 def triggers(eng) -> list:
     return [f for pair in eng._triggers.values() for f in pair]
+
+
+def upkeep(eng) -> list:
+    """Every atom's V_l upkeep, insert and delete."""
+    return [f for pair in eng._vl.values() for f in pair]
 
 
 def test_dropped_engine_is_freed_without_gc():
@@ -83,7 +86,7 @@ def test_dropped_engine_is_freed_without_gc():
         for s, t, ins in random_updates({"G": 2}, 200, dom=5, seed=1):
             eng.apply(Update(s, t, ins))
         assert list(eng.enumerate_full())
-        kernels = [*eng._wplans.values(), eng._full, eng._rebuild, *triggers(eng)]
+        kernels = [*eng._wplans.values(), eng._full, *upkeep(eng), *triggers(eng)]
         kernels += [f for k in kernels for f in k.__globals__.values()
                     if isinstance(f, FunctionType)]
         refs = [weakref.ref(x) for x in [eng, *eng.nodes.values(), *kernels]]
@@ -97,20 +100,27 @@ def test_dropped_engine_is_freed_without_gc():
 def test_kernels_are_named_by_query_and_plan():
     """Each generated function is compiled under a file name that names
     the query and the plan, for cProfile, traces and tracebacks: one
-    trigger per atom and sign. No kernel binds a trigger."""
+    trigger and one V_l upkeep per atom and sign. No kernel binds a
+    trigger or V_l upkeep, and each kernel's parameters are its Δ set,
+    its S-chain exclusions ``X_j``, ``out`` and ``sign``: no V_l
+    candidate set."""
     bq = GRAPH_QUERIES["4hop_full"]()
     eng = CrownEngine(bq.cq)
     names = {name: k.__code__.co_filename for name, k in eng._wplans.items()}
     assert names == {n: f"<crown 4hop_full {n}>" for n in eng.nodes}
     assert eng._full.__code__.co_filename == "<crown 4hop_full enumerate_full>"
-    assert eng._rebuild.__code__.co_filename == "<crown 4hop_full rebuild_live>"
-    names = {(rel, sign): f.__code__.co_filename
-             for rel, pair in eng._triggers.items() for sign, f in zip("+-", pair)}
-    assert names == {(r, s): f"<crown 4hop_full trigger {r} {s}1>"
-                     for r in ("G1", "G2", "G3", "G4") for s in "+-"}
+    for what, fns in (("trigger", eng._triggers), ("live", eng._vl)):
+        names = {(rel, sign): f.__code__.co_filename
+                 for rel, pair in fns.items() for sign, f in zip("+-", pair)}
+        assert names == {(r, s): f"<crown 4hop_full {what} {r} {s}1>"
+                         for r in ("G1", "G2", "G3", "G4") for s in "+-"}
     bound = {id(v) for k in [*eng._wplans.values(), eng._full]
              for v in k.__globals__.values()}
-    assert not bound & set(map(id, triggers(eng)))
+    assert not bound & set(map(id, triggers(eng) + upkeep(eng)))
+    for name, k in eng._wplans.items():
+        code = k.__code__
+        xs = tuple(f"X{j}" for j in range(1, len(eng.tree.path_to_root(name))))
+        assert code.co_varnames[:code.co_argcount] == ("ys", *xs, "out", "sign"), name
 
 
 def test_code_is_compiled_once_per_source(monkeypatch):
@@ -122,7 +132,7 @@ def test_code_is_compiled_once_per_source(monkeypatch):
     tree = best_tree(cq)
 
     def generated(eng) -> list:
-        return [*eng._wplans.values(), eng._full, eng._rebuild, *triggers(eng)]
+        return [*eng._wplans.values(), eng._full, *upkeep(eng), *triggers(eng)]
 
     first = CrownEngine(cq, tree)
     compiled = []
@@ -142,15 +152,16 @@ def test_kernels_read_no_counters():
     only while enumeration reads no counter state: no generated function
     (witness plans, ``enumerate_full`` and the FullEnum parts bound in
     them) holds a node's ``tuples``, ``def_pres`` or ``child_index``
-    dicts, on any tree of any graph or SNB query or of ODD."""
+    dicts, on any tree of any graph or SNB query or of ODD. Nor does any
+    V_l upkeep, which keeps V_l from V_s and V_l alone."""
     queries = [q().cq for q in (*GRAPH_QUERIES.values(), *SNB_QUERIES.values())] + [ODD]
-    parts = 0
+    parts = lives = 0
     for cq in queries:
         for i, tree in enumerate(free_connex_trees(cq)):
             eng = CrownEngine(cq, tree)
             counters = {id(d) for n in eng.nodes.values()
                         for d in (n.tuples, n.def_pres, n.child_index, *n.child_index.values())}
-            todo, done = [*eng._wplans.values(), eng._full], set()
+            todo, done = [*eng._wplans.values(), eng._full, *upkeep(eng)], set()
             while todo:
                 fn = todo.pop()
                 if fn in done:
@@ -161,4 +172,5 @@ def test_kernels_read_no_counters():
                     if isinstance(v, FunctionType):
                         todo.append(v)
             parts += sum("FullEnum" in fn.__code__.co_filename for fn in done)
-    assert parts > 0
+            lives += len(upkeep(eng))
+    assert parts > 0 and lives > 0
