@@ -1,5 +1,1 @@
 """CROWN core: the paper's contribution plus tuple-at-a-time baselines."""
-from repro.core.engine import CrownEngine
-from repro.core.naive import evaluate
-
-__all__ = ["CrownEngine", "evaluate"]

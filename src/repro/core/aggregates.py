@@ -93,30 +93,21 @@ class RingAggregator:
 class DistinctCountAggregator:
     """COUNT(DISTINCT d) GROUP BY g — the SNB Q4 aggregate.
 
-    Composed from derivation counting at two levels: supports per
-    (group, distinct-value), then distinct-value counts per group.
+    A :class:`DistinctConsumer` over ``(*group, d)`` turns the delta
+    stream into the appearance (+1) and disappearance (-1) of distinct
+    pairs; their crossings are counted per group.
     """
 
     def __init__(self, inner: CQ, group: tuple[str, ...], distinct: str) -> None:
-        self.gpos = tuple(inner.output.index(a) for a in group)
-        self.dpos = inner.output.index(distinct)
-        self.support: Counter = Counter()
+        self.pairs = DistinctConsumer(inner, (*group, distinct))
         self.counts: Counter = Counter()
 
     def feed(self, deltas: list[tuple[int, tuple]]) -> None:
-        for sign, t in deltas:
-            g = tuple(t[i] for i in self.gpos)
-            key = (g, t[self.dpos])
-            before = self.support[key]
-            self.support[key] += sign
-            after = self.support[key]
-            if before == 0 and after > 0:
-                self.counts[g] += 1
-            elif before > 0 and after == 0:
-                self.counts[g] -= 1
-                del self.support[key]
-                if self.counts[g] == 0:
-                    del self.counts[g]
+        for sign, p in self.pairs.feed(deltas):
+            g = p[:-1]
+            self.counts[g] += sign
+            if not self.counts[g]:
+                del self.counts[g]
 
     def result(self) -> dict[tuple, int]:
         return dict(self.counts)

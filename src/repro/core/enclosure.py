@@ -44,22 +44,21 @@ def _max_disjoint_contained(
     return count
 
 
-def enclosureness(seq: UpdateSequence, sample: int | None = None) -> float:
+def enclosureness(seq: UpdateSequence) -> float:
     """λ of Def. 6.1 over the reconstructed lifespans of ``seq``."""
     spans = seq.lifespans()
     ordered = sorted(
         ((ls.start, ls.end, i) for i, ls in enumerate(spans)), key=lambda x: x[1]
     )
-    picks = spans if sample is None else spans[:: max(1, len(spans) // sample)]
     total = 0.0
-    for i, ls in enumerate(picks):
+    for ls in spans:
         cands = [
             (s, e, j)
             for s, e, j in ordered
             if s > ls.start and e < ls.end  # strictly contained (⊊)
         ]
         total += _max_disjoint_contained(cands, ls.start, ls.end)
-    return max(total / max(1, len(picks)), 1.0)
+    return max(total / max(1, len(spans)), 1.0)
 
 
 @dataclass
@@ -68,9 +67,7 @@ class _NodeSpans:
     desc_ins: list[float]  # sorted insertion times in strict descendants
 
 
-def tree_enclosureness(
-    seq: UpdateSequence, cq: CQ, tree: JoinTree, sample: int | None = None
-) -> float:
+def tree_enclosureness(seq: UpdateSequence, cq: CQ, tree: JoinTree) -> float:
     """λ_T of Def. 6.4 (greedy; see module docstring)."""
     spans = seq.lifespans()
     # lifespans per atom node (self-join streams fan out to every copy)
@@ -127,8 +124,7 @@ def tree_enclosureness(
     total, count = 0.0, 0
     for name, lst in by_node.items():
         pool = desc_pool[name]
-        picks = lst if sample is None else lst[:: max(1, len(lst) // sample)]
-        for ls in picks:
+        for ls in lst:
             total += _max_disjoint_contained(pool, ls.start, ls.end)
             count += 1
     return max(total / max(1, count), 1.0)

@@ -9,12 +9,17 @@ generalized join tree:
 - the semi-join view ``V_s(R_e)`` = tuples whose counter equals the
   number of children (Algorithms 2–4: R-/S-/P-UPDATE);
 - the projection view ``V_p(R_e) = π_key(e) V_s(R_e)`` via grouped hash
-  indexes (derivation counting);
-- the live view ``V_l(R_e) = π_{e∩y} Q(D)`` (Lemma 5.5), whose
-  per-child groups ``live_idx`` the witness kernels' S-chains walk
-  (Def. 5.6). It is the semi-join of π_y V_s down the tree:
-  V_l(root) = π_y V_s(root), and a live node's V_l holds the values of
-  its π_y V_s whose key(e)∩y group is live in its parent.
+  indexes (derivation counting), below the root only: no node reads
+  the root's;
+- the live view ``V_l(R_e) = π_{e∩y} Q(D)`` (Lemma 5.5), held only as
+  its groupings ``live_idx``, one per key∩y layout of the children,
+  which the witness kernels' S-chains walk (Def. 5.6). It is the
+  semi-join of π_y V_s down the tree: V_l(root) = π_y V_s(root), and a
+  live node's V_l holds the values of its π_y V_s whose key(e)∩y group
+  is live in its parent.
+
+Every index is tied to a key layout, not to a child: children with one
+layout share one grouping, which each trigger writes once.
 
 Per update the engine emits the exact delta ``ΔQ(D, t)`` (Algorithm 6)
 and supports full enumeration (Algorithm 5). Both, and maintenance, run
@@ -151,23 +156,27 @@ class _Node:
         self.extra_y = bool(set(self.y_attrs) - set(key))
         self.key_y_attrs = tuple(a for a in key if a in y)
         self.def_children = frozenset(tree.defining_children(name))
+        self.counted = tuple(c for c in self.children if c not in self.def_children)
         # dynamic state
         self.tuples: dict[tuple, int] = {}
         self.def_pres: dict[tuple, int] = {}  # defining-support refcounts
-        # per counted (non-defining) child: its key -> the tuples under it
-        self.child_index: dict[str, dict[tuple, set]] = {
-            c: {} for c in self.children if c not in self.def_children}
+        # per key layout of the counted children: a key -> the tuples under it
+        self.child_index: dict[tuple[str, ...], dict[tuple, set]] = {
+            tree.key(c): {} for c in self.counted}
+        # V_s grouped by key (V_p) and its π_y refcounts, also per key;
+        # the root keeps neither grouping, since no node reads V_p(root)
         self.vs_by_key: dict[tuple, set] = {}
         self.vs_yproj: dict[tuple, int] = {}
-        self.needs_kyproj = self.boundary and self.extra_y
+        self.needs_kyproj = self.boundary and self.extra_y and not self.is_root
         self.vs_key_yproj: dict[tuple, dict[tuple, int]] = {}
         self.live_maintained = bool(self.children) and (
             bool(self.y_attrs) or not self.attrs
         )
-        self.live: set | None = set() if self.live_maintained else None
-        self.live_idx: dict[str, dict[tuple, set]] = (
-            {c: {} for c in self.children} if self.live_maintained else {}
-        )
+        # V_l, held only as its groupings: per key∩y layout of the
+        # children, a key∩y value -> the V_l values under it
+        self.live_idx: dict[tuple[str, ...], dict[tuple, set]] = {
+            tuple(a for a in tree.key(c) if a in y): {} for c in self.children
+        } if self.live_maintained else {}
 
 
 class CrownEngine:
@@ -263,11 +272,11 @@ class CrownEngine:
         # and the columns of its rows -- or None when it adds no column
         parts: dict[str, tuple | None] = {}
         for n in reversed(preorder):  # children first
+            if n.is_root:
+                continue  # no parent reads it; see enumerate_full's generator
             if n.boundary:
                 parts[n.name] = (n.vs_key_yproj, n.y_attrs) if n.extra_y else None
                 continue
-            if n.is_root:
-                continue  # no parent reads it; see enumerate_full's generator
             kids = self._kids(n, parts)
             if not kids:
                 parts[n.name] = (n.vs_by_key, n.attrs)
@@ -304,7 +313,7 @@ class CrownEngine:
         self._live_nodes = [n for n in preorder if n.live_maintained]
         self._wplans: dict[str, Callable] = {}
         for n in preorder:
-            if not n.is_root and not (nodes[n.parent].live is not None and n.y_attrs):
+            if not n.is_root and not (nodes[n.parent].live_maintained and n.y_attrs):
                 continue
             path = [nodes[p] for p in tree.path_to_root(n.name)]
             chain = list(zip(path, path[1:]))
@@ -320,7 +329,7 @@ class CrownEngine:
             src.open("for v0 in ys:")
             src.row("v0", n.y_attrs)
             for j, (prev, f) in enumerate(chain, 1):
-                idx = src.bind(f.live_idx[prev.name])
+                idx = src.bind(f.live_idx[prev.key_y_attrs])
                 src.open(f"for v{j} in {idx}.get({src.tup(prev.key_y_attrs)}, E):")
                 src.line(f"if v{j} in X{j}: continue")
                 src.row(f"v{j}", f.y_attrs)
@@ -432,9 +441,9 @@ class CrownEngine:
 
     def _index(self, src: _Source, n: _Node, var: str, d: int) -> None:
         """Add (d = 1) or remove (d = -1) ``n``'s tuple ``var`` in its
-        ``child_index``."""
-        for c, idx in n.child_index.items():
-            key = _proj(var, n.attrs, self.tree.key(c))
+        ``child_index`` groupings."""
+        for layout, idx in n.child_index.items():
+            key = _proj(var, n.attrs, layout)
             (src.group if d > 0 else src.ungroup)(src.bind(idx), key, var)
 
     def _crossing(self, src: _Source, n: _Node, j: int, top: bool, d: int) -> str | None:
@@ -444,8 +453,8 @@ class CrownEngine:
         an insert moves V_s as it goes, so each value and key crosses at
         its first mover. Returns the V_p keys that cross, ``k0`` or
         ``K{j}``, with the block that has any of them open; None at the
-        root."""
-        vy, vk = src.bind(n.vs_yproj), src.bind(n.vs_by_key)
+        root, whose V_p no node reads, so it is not kept."""
+        vy, vk = src.bind(n.vs_yproj), None if top else src.bind(n.vs_by_key)
         if d > 0:  # a π_y value or V_p key crosses iff it had no V_s tuple
             t, k, y = ("t", "k0", "y0") if j == 0 else ("t2", "k", "y")
             if j:
@@ -457,14 +466,15 @@ class CrownEngine:
             if n.needs_kyproj:
                 src.line(f"ky = {src.bind(n.vs_key_yproj)}.setdefault({k}, {{}})")
                 src.line(f"ky[{y}] = ky.get({y}, 0) + 1")
+            if top:
+                return None
             src.line(f"s = {vk}.get({k})")
             src.line(f"if s is not None: s.add({t})")
             src.open("else:")
             src.line(f"{vk}[{k}] = {{{t}}}")
             if j == 0:
                 return "k0"
-            if not top:
-                src.line(f"K{j}.append(k)")
+            src.line(f"K{j}.append(k)")
             src.depth -= 2
         elif j == 0:  # a deletion: iff all its V_s tuples move
             src.line(f"D0 = {{y0}} if {vy}[y0] == 1 else E")
@@ -508,9 +518,9 @@ class CrownEngine:
                 # (no other defining child holds it), + 1 for this child
                 src.line(f"p = {pres}.get({kv}, 0)")
                 src.line(f"{pres}[{kv}] = p + 1")
-                src.line(f"old = {tuples}[{kv}] if p else 0{self._sat(src, f, kv, f.child_index)}")
+                src.line(f"old = {tuples}[{kv}] if p else 0{self._sat(src, f, kv, f.counted)}")
                 src.line(f"{tuples}[{kv}] = old + 1")
-                if f.child_index:
+                if f.counted:
                     src.open("if not p:")
                     self._index(src, f, kv, 1)
                     src.depth -= 1
@@ -524,7 +534,7 @@ class CrownEngine:
         else:
             # Algorithm 3: move the counters of the tuples under the key
             t = "t2"
-            src.line(f"s = {src.bind(f.child_index[child.name])}.get({kv}, E)")
+            src.line(f"s = {src.bind(f.child_index[self.tree.key(child.name)])}.get({kv}, E)")
             src.line("cc += len(s)")
             src.open("for t2 in s:")
             src.line(f"old = {tuples}[t2]")
@@ -536,12 +546,13 @@ class CrownEngine:
 
     def _vs_out(self, src: _Source, n: _Node, j: int) -> None:
         """A deletion's V_s move at level ``j`` (node ``n``): its movers
-        leave V_p's groups and the π_y refcounts."""
+        leave V_p's groups (none at the root) and the π_y refcounts."""
         t, k, y = ("t", "k0", "y0") if j == 0 else ("t2", "k", "y")
         if j:
             src.open(f"for t2, k, y in M{j}:")
         vy = src.bind(n.vs_yproj)
-        src.ungroup(src.bind(n.vs_by_key), k, t)
+        if not n.is_root:
+            src.ungroup(src.bind(n.vs_by_key), k, t)
         src.line(f"n = {vy}[{y}]")
         src.line(f"if n > 1: {vy}[{y}] = n - 1")
         src.line(f"else: del {vy}[{y}]")
@@ -563,47 +574,52 @@ class CrownEngine:
         live in its parent (DESIGN.md argues it exact). An insert adds
         the node's ``D{j}`` values that pass the parent test, a deletion
         drops those that were live; and each adds or drops its π_y V_s
-        values under each parent group that appeared or vanished
-        (``G{i}``, filled as the parent moves). Like the kernels, it
-        reads V_s and V_l only."""
+        values under each group that appeared or vanished in the parent
+        grouping it reads (``G{i}``, one list per such grouping, filled
+        as the parent moves). Like the kernels, it reads V_s and V_l
+        only."""
         nodes, lives, path = self.nodes, self._live_nodes, self._path(rel)
         level = {n.name: j for j, n in enumerate(path)}
-        at = {n.name: i for i, n in enumerate(lives)}
+        gs: dict[tuple, str] = {}  # (parent, layout) -> its list's name
+        for n in lives:
+            if not n.is_root:
+                gs.setdefault((n.parent, n.key_y_attrs), f"G{len(gs)}")
         src = _Source(", ".join(f"D{j}" for j, n in enumerate(path) if n.live_maintained))
-        groups = [f"G{i}" for i, n in enumerate(lives) if not n.is_root]
-        if groups:
-            src.line(" = ".join(groups) + " = E")
+        if gs:
+            src.line(" = ".join(gs.values()) + " = E")
         base = src.depth
-        for i, n in enumerate(lives):
-            j, live = level.get(n.name), src.bind(n.live)
+        for n in lives:
+            j = level.get(n.name)
             if n.is_root:
                 src.line(f"A = D{j}")
             else:
+                up = gs[n.parent, n.key_y_attrs]
                 if j is None:
-                    src.open(f"if G{i}:")
+                    src.open(f"if {up}:")
                     src.line("A = set()")
                 elif d > 0:
-                    up = src.bind(nodes[n.parent].live_idx[n.name])
+                    idx = src.bind(nodes[n.parent].live_idx[n.key_y_attrs])
                     g = _proj("v", n.y_attrs, n.key_y_attrs)
-                    src.line(f"A = {{v for v in D{j} if {g} in {up}}}")
-                else:
-                    src.line(f"A = {live}.intersection(D{j})")
-                src.open(f"for g in G{i}:")
+                    src.line(f"A = {{v for v in D{j} if {g} in {idx}}}")
+                else:  # those that were live: in any one of its V_l groupings
+                    layout, idx = next(iter(n.live_idx.items()))
+                    g = _proj("v", n.y_attrs, layout)
+                    src.line(f"A = {{v for v in D{j} if v in {src.bind(idx)}.get({g}, E)}}")
+                src.open(f"for g in {up}:")
                 self._under(src, n)
                 src.depth -= 1
             src.open("if A:")
-            src.line(f"{live}.update(A)" if d > 0 else f"{live}.difference_update(A)")
-            for c in n.live_idx:
-                if c in at:
-                    src.line(f"G{at[c]} = []")
+            marks = {layout: gs[n.name, layout] for layout in n.live_idx if (n.name, layout) in gs}
+            for name in marks.values():
+                src.line(f"{name} = []")
             src.open("for v in A:")
-            for c, idx in n.live_idx.items():
-                k, mark = _proj("v", n.y_attrs, nodes[c].key_y_attrs), ""
-                if c in at:
+            for layout, idx in n.live_idx.items():
+                k, mark = _proj("v", n.y_attrs, layout), ""
+                if layout in marks:
                     if not k.isidentifier():
                         src.line(f"k = {k}")
                         k = "k"
-                    mark = f"; G{at[c]}.append({k})"
+                    mark = f"; {marks[layout]}.append({k})"
                 (src.group if d > 0 else src.ungroup)(src.bind(idx), k, "v", mark)
             src.depth = base
         return src.build(self._label(f"live {rel} {d:+d}"))
@@ -689,14 +705,13 @@ class CrownEngine:
     # introspection
     # ------------------------------------------------------------------
     def space(self) -> int:
-        """Total stored entries across all views/indexes (Lemma 4.1)."""
+        """Total stored entries across all views and indexes (Lemma 4.1),
+        each counted once: the tuples with their counters, the π_y
+        refcounts, and every grouping's members."""
         total = 0
         for n in self.nodes.values():
-            total += len(n.tuples)
-            total += sum(len(s) for idx in n.child_index.values() for s in idx.values())
-            total += sum(len(s) for s in n.vs_by_key.values())
-            total += len(n.vs_yproj)
-            total += sum(len(d) for d in n.vs_key_yproj.values())
-            if n.live is not None:
-                total += len(n.live)
+            total += len(n.tuples) + len(n.vs_yproj)
+            for idx in (*n.child_index.values(), n.vs_by_key, n.vs_key_yproj,
+                        *n.live_idx.values()):
+                total += sum(map(len, idx.values()))
         return total

@@ -412,19 +412,22 @@ def _components(attr_sets: list[frozenset[str]], rels: list[Relation]) -> list[l
 
 
 _TREE_CACHE: dict[tuple, list[JoinTree]] = {}
+# the most atoms the exhaustive search takes on
+MAX_ATOMS = 7
 
 
-def free_connex_trees(cq: CQ, max_atoms: int = 7) -> list[JoinTree]:
+def free_connex_trees(cq: CQ) -> list[JoinTree]:
     """All (deduped) valid free-connex generalized join trees of ``cq``.
 
-    Exhaustive over parent assignments of *units* for small queries,
-    where each relation participates either whole or *split* — replaced
-    in the tree by a generalized proxy ``π_g(R)`` (g = the attributes
-    visible to the rest of the query and the output) with ``R`` demoted
-    to a leaf below it. Splitting is what lets e.g. SNB Q2 reach its
-    height-2 plan ([c] → [m,c] → message_tag → tag). Admissible single
-    generalized roots and the Lemma-6.8 cap construction are added on
-    top. Raises ``ValueError`` when the query is not free-connex.
+    Exhaustive over parent assignments of *units*, where each relation
+    participates either whole or *split* — replaced in the tree by a
+    generalized proxy ``π_g(R)`` (g = the attributes visible to the rest
+    of the query and the output) with ``R`` demoted to a leaf below it.
+    Splitting is what lets e.g. SNB Q2 reach its height-2 plan ([c] →
+    [m,c] → message_tag → tag). Admissible single generalized roots and
+    the Lemma-6.8 cap construction are added on top. Raises
+    ``ValueError`` when the query is not free-connex or has more than
+    ``MAX_ATOMS`` atoms.
     """
     key = (tuple((r.name, r.attrs) for r in cq.relations), cq.output)
     if key in _TREE_CACHE:
@@ -435,7 +438,7 @@ def free_connex_trees(cq: CQ, max_atoms: int = 7) -> list[JoinTree]:
             "or extend the output attributes (§7.1)"
         )
     rels = list(cq.relations)
-    if len(rels) > max_atoms:
+    if len(rels) > MAX_ATOMS:
         raise ValueError(f"{cq.name}: too many atoms for exhaustive search")
     y = cq.output_set
     out: list[JoinTree] = []

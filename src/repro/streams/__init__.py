@@ -1,16 +1,1 @@
 """Update-sequence substrate: lifespans, FIFO windows, stream adapters."""
-from repro.streams.sequences import (
-    Update,
-    UpdateSequence,
-    fifo_window_sequence,
-    from_lifespans,
-    insertion_only_sequence,
-)
-
-__all__ = [
-    "Update",
-    "UpdateSequence",
-    "fifo_window_sequence",
-    "from_lifespans",
-    "insertion_only_sequence",
-]

@@ -20,7 +20,6 @@ class Update:
     stream: str
     tuple: tuple
     is_insert: bool
-    ts: float = 0.0
 
     @property
     def sign(self) -> int:
@@ -95,9 +94,9 @@ def from_lifespans(spans: Iterable[tuple[str, tuple, float, float]]) -> UpdateSe
     evs: list[tuple[float, int, Update]] = []
     for stream, t, s, e in spans:
         if s != float("-inf"):
-            evs.append((s, 0, Update(stream, t, True, s)))
+            evs.append((s, 0, Update(stream, t, True)))
         if e != float("inf"):
-            evs.append((e, 1, Update(stream, t, False, e)))
+            evs.append((e, 1, Update(stream, t, False)))
     evs.sort(key=lambda x: (x[0], x[1]))
     return UpdateSequence([u for _, _, u in evs])
 
@@ -117,7 +116,7 @@ def fifo_window_sequence(
 
 def insertion_only_sequence(rows: Iterable[tuple[str, tuple]]) -> UpdateSequence:
     return UpdateSequence(
-        [Update(stream, t, True, float(i)) for i, (stream, t) in enumerate(rows)]
+        [Update(stream, t, True) for stream, t in rows]
     )
 
 

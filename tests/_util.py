@@ -44,24 +44,28 @@ def expected_result(cq: CQ, stream_db: dict[str, set], post_filter=None) -> set:
 
 
 def check_live(eng, q: set, what: str) -> None:
-    """V_l(R_e) = π_{e∩y} Q(D) at every live node (Lemma 5.5), and each
-    ``live_idx[c]`` is ``live`` grouped by key(c) ∩ y."""
+    """V_l(R_e) = π_{e∩y} Q(D) at every live node (Lemma 5.5): each of
+    its groupings, one per key(c) ∩ y layout of its children, is
+    π_{e∩y} Q(D) grouped by that layout."""
     out = eng.cq.output
     for node in eng._live_nodes:
         pos = [out.index(a) for a in node.y_attrs]
         expect = {tuple(r[i] for i in pos) for r in q}
-        assert node.live == expect, f"{what}: live({node.name})"
-        for c, idx in node.live_idx.items():
-            groups = _grouped(node.live, _cols(node.y_attrs, eng.nodes[c].key_y_attrs))
-            assert idx == groups, f"{what}: live_idx({node.name}, {c})"
+        layouts = {eng.nodes[c].key_y_attrs for c in node.children}
+        assert set(node.live_idx) == layouts, f"{what}: live_idx layouts({node.name})"
+        for layout, idx in node.live_idx.items():
+            groups = _grouped(expect, _cols(node.y_attrs, layout))
+            assert idx == groups, f"{what}: live_idx({node.name}, {layout})"
 
 
 def check_counters(eng, dbs: dict[str, set], what: str) -> None:
     """Every node's propagation state recomputed bottom-up from the live
     stream database ``dbs``: R_e (an atom's admitted tuples, or for a
     generalized node the union of its defining children's V_p), each
-    derivation counter, ``def_pres``, each ``child_index`` grouping, and
-    the V_s indexes ``vs_by_key``, ``vs_yproj`` and ``vs_key_yproj``."""
+    derivation counter, ``def_pres``, the ``child_index`` grouping of each
+    key layout of the counted children, and the V_s indexes
+    ``vs_by_key`` (empty at the root, which keeps no V_p), ``vs_yproj``
+    and ``vs_key_yproj``."""
     atom_of = {eng.tree.relation_node(r.name): r for r in eng.cq.relations}
     vp: dict[str, set] = {}
     for name in reversed(eng.tree.preorder()):  # children first
@@ -79,10 +83,14 @@ def check_counters(eng, dbs: dict[str, set], what: str) -> None:
         assert n.tuples == counts, f"{what}: counters({name})"
         pres = {t: sum(t in vp[c] for c in n.def_children) for t in rel} if n.is_gen else {}
         assert n.def_pres == pres, f"{what}: def_pres({name})"
-        for c, idx in n.child_index.items():
-            assert idx == _grouped(rel, ck[c]), f"{what}: child_index({name}, {c})"
+        layouts = {eng.tree.key(c) for c in n.children if c not in n.def_children}
+        assert set(n.child_index) == layouts, f"{what}: child_index layouts({name})"
+        for layout, idx in n.child_index.items():
+            groups = _grouped(rel, _cols(n.attrs, layout))
+            assert idx == groups, f"{what}: child_index({name}, {layout})"
         vs = {t for t, k in counts.items() if k == n.n_children}
-        assert n.vs_by_key == _grouped(vs, key), f"{what}: vs_by_key({name})"
+        by_key = {} if n.is_root else _grouped(vs, key)
+        assert n.vs_by_key == by_key, f"{what}: vs_by_key({name})"
         assert n.vs_yproj == Counter(map(yv, vs)), f"{what}: vs_yproj({name})"
         kyproj = {kv: Counter(map(yv, ts)) for kv, ts in _grouped(vs, key).items()}
         assert n.vs_key_yproj == (kyproj if n.needs_kyproj else {}), f"{what}: vs_key_yproj({name})"

@@ -140,12 +140,11 @@ class TestLemma51:
             )
             expect = evaluate(sub_cq, db)
             st = eng.nodes[name]
-            got = {t for s in st.vs_by_key.values() for t in s}
-            if node.is_generalized:
-                # generalized tuples are over sorted attrs already
-                assert got == expect, name
-            else:
-                assert got == expect, name
+            # V_s: grouped by key below the root; at the root, which
+            # keeps no V_p, the tuples whose counter is full
+            got = ({t for t, c in st.tuples.items() if c == st.n_children} if st.is_root
+                   else {t for s in st.vs_by_key.values() for t in s})
+            assert got == expect, name
 
 
 class TestSpace:
@@ -172,6 +171,53 @@ class TestSpace:
         eng.apply(Update("R", (1, 2), False))
         eng.apply(Update("S", (2, 3), False))
         assert eng.space() < s1
+
+    @pytest.mark.parametrize("name", ["4hop_full", "snb_q1"])
+    def test_one_grouping_per_layout(self, name):
+        """Each index is stored once: the counted children of one key
+        layout share one ``child_index`` grouping and the children of
+        one key∩y layout one V_l grouping; the root keeps no V_p; and
+        ``space()`` equals a recount from the views' definitions, in
+        which each grouping holds its node's tuples (or V_l) once."""
+        from repro.bench.harness import graph_stream, snb_stream
+        from repro.bench.queries import hop4_full, snb_q1
+
+        bq, seq = ((hop4_full(), graph_stream(sf=0.001, window=60, seed=1))
+                   if name == "4hop_full" else (snb_q1(), snb_stream(sf=0.01, seed=1)))
+        eng = CrownEngine(bq.cq, best_tree(bq.cq))
+        shared = 0
+        for n in eng.nodes.values():
+            counted = [c for c in n.children if c not in n.def_children]
+            assert set(n.child_index) == {eng.tree.key(c) for c in counted}, n.name
+            shared += len(counted) - len(n.child_index)
+            if n.live_maintained:
+                assert set(n.live_idx) == {eng.nodes[c].key_y_attrs for c in n.children}
+                shared += len(n.children) - len(n.live_idx)
+        assert shared > 0  # the best tree has children that share a layout
+
+        out = bq.cq.output
+
+        def recount() -> int:
+            q = eng.full_result_set()
+            total = 0
+            for n in eng.nodes.values():
+                vs = [t for t, c in n.tuples.items() if c == n.n_children]
+                ky = [n.attrs.index(a) for a in (*eng.tree.key(n.name), *n.y_attrs)]
+                total += len(n.tuples) * (1 + len(n.child_index))
+                total += len(vs) * (not n.is_root) + len(n.vs_yproj)
+                total += len({tuple(t[i] for i in ky) for t in vs}) * n.needs_kyproj
+                live = {tuple(r[out.index(a)] for a in n.y_attrs) for r in q}
+                total += len(live) * len(n.live_idx)
+            return total
+
+        peak = 0
+        for i, u in enumerate(seq.updates):
+            eng.apply(u)
+            if i % 50 == 0 or i == len(seq) - 1:
+                assert eng.nodes[eng.tree.root].vs_by_key == {}
+                assert eng.space() == recount(), i
+                peak = max(peak, eng.space())
+        assert peak > 0
 
 
 class TestWitnessQueries:

@@ -59,7 +59,7 @@ def test_odd_names_on_every_tree():
         assert eng.stats["deltas"] > 0 and eng.stats["witnesses"] > 0, f"tree {i}"
         assert eng.stats["noop_updates"] == noops > 0
         assert list(idle.enumerate_full()) == []
-        assert all(not n.live for n in idle._live_nodes)
+        assert all(not idx for n in idle._live_nodes for idx in n.live_idx.values())
 
 
 def triggers(eng) -> list:
