@@ -144,7 +144,7 @@ def make_engine(name: str, bq: BenchQuery, max_view_rows: int | None = None):
     """
     if name == "crown":
         if bq.cyclic:
-            return dumbbell_ghd(bq.cq, post_filter=bq.post_filter)
+            return dumbbell_ghd(bq.cq)
         return CrownEngine(bq.cq, post_filter=bq.post_filter)
     if name == "dbtoaster_hivm":
         return FirstOrderHIVMEngine(bq.cq, post_filter=bq.post_filter, max_view_rows=max_view_rows)

@@ -271,8 +271,9 @@ class BatchCrown:
         cands = set(batch) | set(was)
         if node.is_gen:
             # R_e is virtual: the defining children's V_p tuples
-            cands |= {_proj(c.key, attrs)(k) for c in children if set(c.key) == full
-                      for k in got[(c.name, VP)]}
+            cands |= {_proj(self.nodes[c].key, attrs)(k)
+                      for c in self.tree.defining_children(node.name)
+                      for k in got[(c, VP)]}
         if late and cands:
             got = yield [(v.name, VP, tuple(v.key), set(map(_proj(attrs, v.key), cands)))
                          for v in late]

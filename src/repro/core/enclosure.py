@@ -5,9 +5,10 @@
 (Def. 6.4) built on *effective lifespans* (Def. 6.3). λ_T(t) selects,
 per descendant tuple, one of its two effective lifespans — an interval
 scheduling problem with a 2-interval job choice; we use greedy-by-end
-over three candidate interval pools (all-Î, all-Ǐ, merged), which is
-exact on every sequence class used in tests (FIFO, insertion-only,
-nested constructions, OuMv) and a lower bound in general.
+over one pool that holds both intervals of every descendant tuple,
+taking at most one interval per tuple, which is exact on every
+sequence class used in tests (FIFO, insertion-only, nested
+constructions, OuMv) and a lower bound in general.
 
 Also ships the constructions the paper uses: the OuMv hard sequence of
 Theorem 6.2 and nested sequences with a dialled-in λ for the Fig. 9
@@ -134,20 +135,21 @@ def tree_enclosureness(seq: UpdateSequence, cq: CQ, tree: JoinTree) -> float:
 # constructions
 # ---------------------------------------------------------------------------
 
-def oumv_sequence(n: int, density: float = 0.5, seed: int = 0) -> UpdateSequence:
+def oumv_sequence(n: int) -> UpdateSequence:
     """The FIFO hard sequence from the proof of Theorem 6.2.
 
     Encodes OuMv over the 5-atom path query
     ``R1(x1) ⋈ R2(x1,x2) ⋈ R3(x2,x3) ⋈ R4(x3,x4) ⋈ R5(x4)``:
     matrix entries live in R3 with lifespan [-k, k]; vector tuples get
-    lifespan 2k each round. Its enclosureness is Θ(n).
+    lifespan 2k each round. Matrix and vector entries are 1 with
+    probability 1/2 (seed 0). Its enclosureness is Θ(n).
     """
     import numpy as np
 
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(0)
     k = n * n
     rows: list[tuple[str, tuple, float, float]] = []
-    m = g.random((n, n)) < density
+    m = g.random((n, n)) < 0.5
     for i in range(n):
         for j in range(n):
             if m[i, j]:
@@ -156,8 +158,8 @@ def oumv_sequence(n: int, density: float = 0.5, seed: int = 0) -> UpdateSequence
         rows.append(("R1", (i,), float(i - 2 * k), float(i)))
         rows.append(("R5", (i,), float(i - 2 * k), float(i)))
     for r in range(n):
-        v = g.random(n) < density
-        u = g.random(n) < density
+        v = g.random(n) < 0.5
+        u = g.random(n) < 0.5
         for j in range(n):
             if v[j]:
                 rows.append(("R2", (r, j), float(r), float(r + 2 * k)))
@@ -170,13 +172,12 @@ def nested_sequence(
     parent_stream: str,
     child_stream: str,
     lam: int,
-    key: int = 0,
     scale: int = 2,
 ) -> UpdateSequence:
     """Sequence with enclosureness exactly ``lam`` (for scale=2).
 
-    ``m = k = scale·lam`` long-lived parent tuples ``(p, key)`` all span
-    the horizon; one child tuple ``(key,)`` is inserted and deleted
+    ``m = k = scale·lam`` long-lived parent tuples ``(p, 0)`` all span
+    the horizon; one child tuple ``(0,)`` is inserted and deleted
     ``k`` times inside it (disjoint re-lifespans, §6.1). Every parent
     then has per-tuple enclosureness ``k`` and the sequence average is
     ``m·k/(m+k) = lam`` — §6.1's "many big but ephemeral changes"
@@ -187,7 +188,7 @@ def nested_sequence(
     m = k = max(1, scale * lam)
     rows: list[tuple[str, tuple, float, float]] = []
     for p in range(m):
-        rows.append((parent_stream, (p, key), 0.0, float(2 * k + 1)))
+        rows.append((parent_stream, (p, 0), 0.0, float(2 * k + 1)))
     for i in range(k):
-        rows.append((child_stream, (key,), 2 * i + 0.5, 2 * i + 1.5))
+        rows.append((child_stream, (0,), 2 * i + 0.5, 2 * i + 1.5))
     return from_lifespans(rows)

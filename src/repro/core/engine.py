@@ -159,7 +159,6 @@ class _Node:
         self.counted = tuple(c for c in self.children if c not in self.def_children)
         # dynamic state
         self.tuples: dict[tuple, int] = {}
-        self.def_pres: dict[tuple, int] = {}  # defining-support refcounts
         # per key layout of the counted children: a key -> the tuples under it
         self.child_index: dict[tuple[str, ...], dict[tuple, set]] = {
             tree.key(c): {} for c in self.counted}
@@ -505,32 +504,36 @@ class CrownEngine:
         src.line(f"M{j} = []")
         if kv == "kv":
             src.open(f"for kv in {keys}:")
-        t = kv
+        t, body = kv, src.depth
         if child.name in f.def_children:
             # from a defining child of a generalized node: the child's V_p
-            # keys are candidate tuples of the virtual relation R_e
-            # (intersection counting, eq. (4), generalized to mixed-key
-            # children)
-            pres = src.bind(f.def_pres)
+            # keys are candidate tuples of the virtual relation R_e, the
+            # union of its defining children's V_p (intersection counting,
+            # eq. (4), generalized to mixed-key children)
             src.line("cc += 1")
             if d > 0:
-                # a new candidate (p = 0): its counted children's support
-                # (no other defining child holds it), + 1 for this child
-                src.line(f"p = {pres}.get({kv}, 0)")
-                src.line(f"{pres}[{kv}] = p + 1")
-                src.line(f"old = {tuples}[{kv}] if p else 0{self._sat(src, f, kv, f.counted)}")
-                src.line(f"{tuples}[{kv}] = old + 1")
+                # a new candidate (counter 0: no other defining child holds
+                # it) starts from its counted children's support
+                src.line(f"old = {tuples}.get({kv}, 0)")
                 if f.counted:
-                    src.open("if not p:")
+                    src.open("if not old:")
+                    src.line(f"old = 0{self._sat(src, f, kv, f.counted)}")
                     self._index(src, f, kv, 1)
                     src.depth -= 1
+                src.line(f"{tuples}[{kv}] = old + 1")
             else:
-                src.line(f"p, old = {pres}[{kv}], {tuples}[{kv}]")
-                src.line(f"if p > 1: {pres}[{kv}], {tuples}[{kv}] = p - 1, old - 1")
-                src.open("else:")  # last defining support gone: the candidate vanishes
-                src.line(f"del {pres}[{kv}], {tuples}[{kv}]")
+                # the candidate stays, one lower, iff another defining
+                # child's V_p holds it (the path child's does until V_s moves)
+                held = " or ".join(f"{kv} in {src.bind(self.nodes[c].vs_by_key)}"
+                                   for c in self.tree.defining_children(f.name)
+                                   if c != child.name)
+                src.line(f"old = {tuples}[{kv}]")
+                if held:
+                    src.line(f"if {held}: {tuples}[{kv}] = old - 1")
+                    src.open("else:")
+                src.line(f"del {tuples}[{kv}]")
                 self._index(src, f, kv, -1)
-                src.depth -= 1
+                src.depth = body
         else:
             # Algorithm 3: move the counters of the tuples under the key
             t = "t2"

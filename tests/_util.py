@@ -62,8 +62,8 @@ def check_counters(eng, dbs: dict[str, set], what: str) -> None:
     """Every node's propagation state recomputed bottom-up from the live
     stream database ``dbs``: R_e (an atom's admitted tuples, or for a
     generalized node the union of its defining children's V_p), each
-    derivation counter, ``def_pres``, the ``child_index`` grouping of each
-    key layout of the counted children, and the V_s indexes
+    derivation counter, the ``child_index`` grouping of each key layout
+    of the counted children, and the V_s indexes
     ``vs_by_key`` (empty at the root, which keeps no V_p), ``vs_yproj``
     and ``vs_key_yproj``."""
     atom_of = {eng.tree.relation_node(r.name): r for r in eng.cq.relations}
@@ -81,8 +81,6 @@ def check_counters(eng, dbs: dict[str, set], what: str) -> None:
         key, yv = _cols(n.attrs, eng.tree.key(name)), _cols(n.attrs, n.y_attrs)
         counts = {t: sum(ck[c](t) in vp[c] for c in n.children) for t in rel}
         assert n.tuples == counts, f"{what}: counters({name})"
-        pres = {t: sum(t in vp[c] for c in n.def_children) for t in rel} if n.is_gen else {}
-        assert n.def_pres == pres, f"{what}: def_pres({name})"
         layouts = {eng.tree.key(c) for c in n.children if c not in n.def_children}
         assert set(n.child_index) == layouts, f"{what}: child_index layouts({name})"
         for layout, idx in n.child_index.items():

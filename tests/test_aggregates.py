@@ -1,6 +1,4 @@
 """Aggregation consumers (§7.3) and SNB Q4's COUNT(DISTINCT)."""
-import pytest
-
 from repro.bench.queries import snb_q4_inner
 from repro.core.aggregates import (
     DistinctConsumer,
@@ -116,54 +114,48 @@ class TestDistinctConsumerUnit:
 
 
 class TestAgainstDuckDB:
-    def test_sum_aggregate_vs_duckdb_tpch(self, spark):
-        """TPC-H-lite: SUM(quantity) per order-priority through CROWN
-        + ring aggregation, cross-checked with DuckDB."""
+    def test_sum_aggregate_vs_duckdb_snb(self):
+        """SNB-lite: SUM(m_ts) per tag over message ⋈ message_tag through
+        CROWN + ring aggregation, cross-checked with DuckDB."""
         import duckdb
 
-        from repro.synth_data import lineitem, orders
+        from repro.synth_data import snb_tables_pdf
 
-        li = lineitem(spark, sf=0.002).toPandas()
-        od = orders(spark, sf=0.002).toPandas()
+        t = snb_tables_pdf(sf=0.01, seed=5)
+        msg, mt = t["message"], t["message_tag"]
         cq = CQ(
             (
-                Relation("L", ("okey", "qty")),
-                Relation("O", ("okey", "prio")),
+                Relation("message", ("m", "ts")),
+                Relation("message_tag", ("m", "t")),
             ),
-            output=("okey", "qty", "prio"),
-            name="tpch_sum",
+            output=("m", "ts", "t"),
+            name="snb_sum",
         )
         eng = CrownEngine(cq)
-        agg = RingAggregator(cq, group=("prio",), weight=lambda t: t[1])
-        for r in li.itertuples(index=False):
+        agg = RingAggregator(cq, group=("t",), weight=lambda r: r[1])
+        for r in msg.itertuples(index=False):
+            agg.feed(eng.apply(Update("message", (int(r.m_messageid), float(r.m_ts)), True)))
+        for r in mt.itertuples(index=False):
             agg.feed(
-                eng.apply(
-                    Update("L", (int(r.l_orderkey), float(r.l_quantity)), True)
-                )
-            )
-        for r in od.itertuples(index=False):
-            agg.feed(
-                eng.apply(
-                    Update("O", (int(r.o_orderkey), r.o_orderpriority), True)
-                )
+                eng.apply(Update("message_tag", (int(r.mt_messageid), int(r.mt_tagid)), True))
             )
         con = duckdb.connect()
-        con.register("li", li)
-        con.register("od", od)
-        # NOTE: the CQ is set-semantics over (okey, qty, prio), so the
-        # DuckDB side aggregates over DISTINCT tuples identically
+        con.register("message", msg)
+        con.register("message_tag", mt)
+        # NOTE: the CQ is set-semantics over (m, ts, t), so the DuckDB
+        # side aggregates over DISTINCT tuples identically
         expect = {
             (row[0],): row[1]
             for row in con.execute(
                 """
-                SELECT o_orderpriority, SUM(qty) FROM (
-                  SELECT DISTINCT l_orderkey AS okey, l_quantity AS qty,
-                         o_orderpriority
-                  FROM li JOIN od ON l_orderkey = o_orderkey
-                ) GROUP BY o_orderpriority
+                SELECT t, SUM(ts) FROM (
+                  SELECT DISTINCT m_messageid AS m, m_ts AS ts, mt_tagid AS t
+                  FROM message JOIN message_tag ON m_messageid = mt_messageid
+                ) GROUP BY t
                 """
             ).fetchall()
         }
         con.close()
+        assert expect
         got = {k: round(v, 6) for k, v in agg.result().items()}
         assert got == {k: round(v, 6) for k, v in expect.items()}

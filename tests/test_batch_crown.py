@@ -253,12 +253,13 @@ def test_random_batches_give_the_set_delta(factory, batches):
 
 
 def test_core_imports_no_pyspark():
-    """The batch core, the tuple engine and the baselines' view plan run
+    """The batch core, the tuple engine, the baselines' view plan, the
+    GHD engine, the data generators and the workload builders run
     without a JVM: importing them, and running a batch, loads no
     ``pyspark`` module."""
     code = (
         "import sys; from repro.core.batch import BatchCrown; import repro.core.engine; "
-        "import repro.core.baseline_cp; "
+        "import repro.core.baseline_cp, repro.cq.ghd, repro.synth_data, repro.bench.harness; "
         "from repro.bench.queries import hop3_full; "
         "assert BatchCrown(hop3_full().cq).process_batch({'G': [(1, 1, 2), (1, 2, 3), (1, 3, 10)]})"
         " == [(1, 2, 3, 10, 1)]; "

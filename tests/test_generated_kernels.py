@@ -2,7 +2,10 @@
 Python identifiers, one engine's triggers, kernels and V_l upkeep bound
 to its own state only, no reference cycle, no counter state read by
 enumeration or V_l upkeep, the file names that profiles and tracebacks
-show, kernels that only read, and one compile per source."""
+show, kernels that only read, and one compile per source. Every tree
+of two queries is run against the naive oracle: one whose names are no
+identifiers, and one with a node that has two defining children and a
+counted one."""
 import gc
 import weakref
 from types import FunctionType
@@ -27,27 +30,40 @@ ODD = CQ(
     output=('q"x', "m.id", "a b"),
     name="odd names",
 )
-ARITY = {r.name: len(r.attrs) for r in ODD.relations}
+# R3's node [b,c]~R3 has, on some trees, two defining children (R0 and
+# R3) and a counted one (R2): there a candidate of R_e may be added or
+# dropped by one defining child while the other holds it
+MIXED = CQ(
+    (
+        Relation("R0", ("b", "c")),
+        Relation("R1", ("a", "c")),
+        Relation("R2", ("b", "d")),
+        Relation("R3", ("c", "e", "b")),
+    ),
+    output=("b", "c", "d"),
+    name="mixed defining",
+)
 
 
-def test_odd_names_on_every_tree():
+def check_every_tree(cq: CQ) -> None:
     """Deltas, ``enumerate_full``, the live views, every counter and
-    index (``check_counters``) and the no-op count on every free-connex
-    tree against ``naive.evaluate``. A second engine built from the same
-    query and tree, never fed, stays empty: a kernel bound to another
-    engine's dicts would show there."""
-    trees = free_connex_trees(ODD)
+    index (``check_counters``) and the no-op count after every update,
+    on every free-connex tree of ``cq``, against ``naive.evaluate``. A
+    second engine built from the same query and tree, never fed, stays
+    empty: a kernel bound to another engine's dicts would show there."""
+    arity = {r.name: len(r.attrs) for r in cq.relations}
+    trees = free_connex_trees(cq)
     assert len(trees) > 1
     for i, tree in enumerate(trees):
-        eng, idle = CrownEngine(ODD, tree), CrownEngine(ODD, tree)
-        dbs = {s: set() for s in ARITY}
+        eng, idle = CrownEngine(cq, tree), CrownEngine(cq, tree)
+        dbs = {s: set() for s in arity}
         cur: set = set()
         noops = 0
-        for step, (s, t, ins) in enumerate(random_updates(ARITY, 120, dom=3, seed=i)):
+        for step, (s, t, ins) in enumerate(random_updates(arity, 120, dom=3, seed=i)):
             noops += (t in dbs[s]) == ins
             (dbs[s].add if ins else dbs[s].discard)(t)
             deltas = eng.apply(Update(s, t, ins))
-            new = expected_result(ODD, dbs)
+            new = expected_result(cq, dbs)
             what = f"tree {i} step {step}"
             assert sorted(deltas) == sorted(
                 [(1, r) for r in new - cur] + [(-1, r) for r in cur - new]), what
@@ -60,6 +76,21 @@ def test_odd_names_on_every_tree():
         assert eng.stats["noop_updates"] == noops > 0
         assert list(idle.enumerate_full()) == []
         assert all(not idx for n in idle._live_nodes for idx in n.live_idx.values())
+
+
+def test_odd_names_on_every_tree():
+    check_every_tree(ODD)
+
+
+def test_two_defining_children_and_a_counted_child_on_every_tree():
+    """A generalized node's R_e is the union of its defining children's
+    V_p: a candidate that one defining child adds while another holds it
+    keeps its counted support, and one that a defining child drops stays
+    while another holds it. No benchmark tree has such a node."""
+    assert any(len(n.def_children) > 1 and n.counted
+               for tree in free_connex_trees(MIXED)
+               for n in CrownEngine(MIXED, tree).nodes.values())
+    check_every_tree(MIXED)
 
 
 def triggers(eng) -> list:
@@ -151,16 +182,16 @@ def test_kernels_read_no_counters():
     enumerated against the V_s of before the deletion. That is sound
     only while enumeration reads no counter state: no generated function
     (witness plans, ``enumerate_full`` and the FullEnum parts bound in
-    them) holds a node's ``tuples``, ``def_pres`` or ``child_index``
-    dicts, on any tree of any graph or SNB query or of ODD. Nor does any
-    V_l upkeep, which keeps V_l from V_s and V_l alone."""
+    them) holds a node's ``tuples`` or ``child_index`` dicts, on any
+    tree of any graph or SNB query or of ODD. Nor does any V_l upkeep,
+    which keeps V_l from V_s and V_l alone."""
     queries = [q().cq for q in (*GRAPH_QUERIES.values(), *SNB_QUERIES.values())] + [ODD]
     parts = lives = 0
     for cq in queries:
         for i, tree in enumerate(free_connex_trees(cq)):
             eng = CrownEngine(cq, tree)
             counters = {id(d) for n in eng.nodes.values()
-                        for d in (n.tuples, n.def_pres, n.child_index, *n.child_index.values())}
+                        for d in (n.tuples, n.child_index, *n.child_index.values())}
             todo, done = [*eng._wplans.values(), eng._full, *upkeep(eng)], set()
             while todo:
                 fn = todo.pop()

@@ -4,28 +4,32 @@ import random
 import pytest
 
 from repro.bench.queries import dumbbell_full, dumbbell_proj
+from repro.core.baseline_cp import StandardCPEngine
 from repro.core.naive import evaluate
-from repro.cq.ghd import Bag, GHDEngine, dumbbell_ghd
+from repro.cq.ghd import dumbbell_ghd
 from repro.cq.query import CQ, Relation, Selection
 from repro.streams.sequences import Update
 from tests._util import selected_db
 
 
-def triangle_atoms():
-    return (
+def triangle() -> CQ:
+    """The triangle, as a GHD bag holds it: a full join under standard
+    change propagation."""
+    atoms = (
         Relation("G1", ("x", "y"), stream="G"),
         Relation("G2", ("y", "z"), stream="G"),
         Relation("G3", ("z", "x"), stream="G"),
     )
+    return CQ(atoms, ("x", "y", "z"), "triangle")
 
 
 class TestBag:
     def test_triangle_bag_deltas(self):
-        bag = Bag("B", triangle_atoms())
+        cq = triangle()
+        bag = StandardCPEngine(cq)
         rng = random.Random(0)
         db = set()
         cur = set()
-        cq = bag.cq
         for step in range(300):
             t = (rng.randrange(4), rng.randrange(4))
             ins = t not in db if rng.random() < 0.7 else False
@@ -39,7 +43,7 @@ class TestBag:
             cur = new
 
     def test_bag_ignores_foreign_stream(self):
-        bag = Bag("B", triangle_atoms())
+        bag = StandardCPEngine(triangle())
         assert bag.apply(Update("H", (1, 2), True)) == []
 
 
@@ -72,8 +76,12 @@ class TestDumbbell:
             cur = new
 
     def test_outer_query_is_free_connex(self):
+        """Each bag is one relation of the outer query, over its atoms'
+        attributes in query order."""
         eng = dumbbell_ghd(dumbbell_full().cq)
         assert eng.crown.tree.is_free_connex_tree()
+        assert [(r.name, r.attrs) for r in eng.outer_cq.relations[:2]] == [
+            ("B1", ("x1", "x2", "x3")), ("B2", ("x4", "x5", "x6"))]
 
     def test_space_quadratic_not_cubic(self):
         """Lemma 7.2-flavoured check: bag state is bounded by the bag

@@ -1,4 +1,4 @@
-"""CROWN over TPC-H-lite and SNB-lite with the DuckDB oracle.
+"""CROWN over SNB-lite with the DuckDB oracle.
 
 These exercise the provided ``synth_data`` generators and
 ``repro.oracle.assert_equivalent`` end to end: a Spark DataFrame built
@@ -12,7 +12,7 @@ from repro.core.engine import CrownEngine
 from repro.cq.query import CQ, Relation
 from repro.oracle import assert_equivalent
 from repro.streams.sequences import Update
-from repro.synth_data import customer, lineitem, orders, snb_tables_pdf
+from repro.synth_data import snb_tables_pdf
 
 
 def _load(eng, stream, pdf, cols, caster=None):
@@ -23,34 +23,36 @@ def _load(eng, stream, pdf, cols, caster=None):
         eng.apply(Update(stream, vals, True))
 
 
-def test_tpch_lineitem_orders_customer_join(spark):
-    """π over lineitem ⋈ orders ⋈ customer (free-connex chain)."""
-    li = lineitem(spark, sf=0.002).toPandas()
-    od = orders(spark, sf=0.002).toPandas()
-    cu = customer(spark, sf=0.002).toPandas()
+def test_snb_projected_chain_vs_duckdb(spark):
+    """π over message_tag ⋈ message ⋈ person, the tag projected away
+    (a free-connex chain)."""
+    t = snb_tables_pdf(sf=0.01, seed=2)
     cq = CQ(
         (
-            Relation("L", ("okey", "pkey")),
-            Relation("O", ("okey", "ckey")),
-            Relation("C", ("ckey", "seg")),
+            Relation("message_tag", ("m", "t")),
+            Relation("message", ("m", "p")),
+            Relation("person", ("p", "fn")),
         ),
-        output=("okey", "ckey", "seg"),
-        name="tpch_chain",
+        output=("m", "p", "fn"),
+        name="snb_chain",
     )
     eng = CrownEngine(cq)
-    _load(eng, "L", li, ["l_orderkey", "l_partkey"], lambda v: (int(v[0]), int(v[1])))
-    _load(eng, "O", od, ["o_orderkey", "o_custkey"], lambda v: (int(v[0]), int(v[1])))
-    _load(eng, "C", cu, ["c_custkey", "c_mktsegment"], lambda v: (int(v[0]), v[1]))
-    got = spark.createDataFrame(
-        pd.DataFrame(sorted(eng.full_result_set()), columns=list(cq.output))
-    )
+    _load(eng, "message_tag", t["message_tag"], ["mt_messageid", "mt_tagid"],
+          lambda v: (int(v[0]), int(v[1])))
+    _load(eng, "message", t["message"], ["m_messageid", "m_creatorid"],
+          lambda v: (int(v[0]), int(v[1])))
+    _load(eng, "person", t["person"], ["p_personid", "p_firstname"],
+          lambda v: (int(v[0]), v[1]))
+    rows = sorted(eng.full_result_set())
+    assert rows
+    got = spark.createDataFrame(pd.DataFrame(rows, columns=list(cq.output)))
     sql = """
-        SELECT DISTINCT l_orderkey AS okey, o_custkey AS ckey,
-               c_mktsegment AS seg
-        FROM li JOIN od ON l_orderkey = o_orderkey
-        JOIN cu ON o_custkey = c_custkey
+        SELECT DISTINCT mt_messageid AS m, m_creatorid AS p, p_firstname AS fn
+        FROM message_tag JOIN message ON mt_messageid = m_messageid
+        JOIN person ON m_creatorid = p_personid
     """
-    assert_equivalent(got, sql, li=li, od=od, cu=cu)
+    assert_equivalent(got, sql, message_tag=t["message_tag"], message=t["message"],
+                      person=t["person"])
 
 
 @pytest.mark.parametrize("factory", [snb_q1, snb_q2], ids=lambda f: f.__name__)
